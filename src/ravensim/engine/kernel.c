@@ -1,0 +1,335 @@
+/* Cycle kernel of the compiled backend.
+
+   Plain C99 with no Python headers: compiled.py builds it with cc into a
+   shared library and drives it through ctypes. All state is int64_t arrays
+   owned by one rk struct. rk_step runs the same four phases as the
+   pure-Python backend (fire, leak, deliver, settle), so the two backends
+   agree cycle for cycle on every network whose values fit in 64 bits; the
+   caller checks that before choosing this kernel.
+
+   The delivery ring keeps one growable slot per (cycle mod slots). A
+   synapse enters a slot at most once before the slot drains, because its
+   delay is shorter than the ring. */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+enum { PH_STD = 0, PH_ABS = 1, PH_REL = 2 };
+
+typedef struct {
+    int64_t *data;
+    int64_t size;
+    int64_t cap;
+} slot;
+
+typedef struct rk {
+    int64_t n, n_syn, n_ev, slots, table_len, stdp, weight_lo, weight_hi;
+    int64_t cycle, ev_cursor;
+
+    /* Per-neuron settings, then per-neuron state. */
+    int64_t *threshold, *std_rest, *ref_rest, *abs_ref, *rel_ref, *leak;
+    int64_t *acc, *phase, *phase_left, *pending, *last_exceed, *got_delivery;
+
+    /* Per-synapse settings and state, in declaration order. A negative
+       last delivery means the synapse never delivered. */
+    int64_t *syn_pre, *syn_post, *syn_weight, *syn_delay;
+    int64_t *syn_last_delivery, *syn_delivered;
+
+    /* CSR adjacency in declaration order: the synapses leaving neuron i are
+       out_list[out_start[i] .. out_start[i + 1]), those entering it are
+       pre_list[pre_start[i] .. pre_start[i + 1]). */
+    int64_t *out_start, *out_list, *pre_start, *pre_list;
+
+    int64_t *table;
+
+    /* Stimulus events sorted by cycle; the value is what the event adds,
+       the input spike amount or the injected charge. */
+    int64_t *ev_cycle, *ev_neuron, *ev_value;
+
+    slot *ring;
+} rk;
+
+/* A zeroed block of cols * n values, with the first cols * n values copied
+   from src when src is given. Never returns a zero-size allocation. */
+static int64_t *block(int64_t cols, int64_t n, const int64_t *src)
+{
+    size_t count = (size_t)(cols * n);
+    int64_t *p = calloc(count ? count : 1, sizeof *p);
+    if (p && src && count)
+        memcpy(p, src, count * sizeof *p);
+    return p;
+}
+
+/* Stable counting sort of synapse indices by key into CSR form. start must
+   hold n + 1 zeros. */
+static void csr(int64_t n, int64_t m, const int64_t *key, int64_t *start, int64_t *list)
+{
+    int64_t i, j;
+    for (j = 0; j < m; j++)
+        start[key[j] + 1]++;
+    for (i = 0; i < n; i++)
+        start[i + 1] += start[i];
+    /* Filling advances start[i] to the end of run i, the start of run i + 1. */
+    for (j = 0; j < m; j++)
+        list[start[key[j]]++] = j;
+    for (i = n; i > 0; i--)
+        start[i] = start[i - 1];
+    start[0] = 0;
+}
+
+void rk_free(rk *k)
+{
+    int64_t s;
+    if (!k)
+        return;
+    if (k->ring)
+        for (s = 0; s < k->slots; s++)
+            free(k->ring[s].data);
+    free(k->ring);
+    free(k->threshold);
+    free(k->acc);
+    free(k->syn_pre);
+    free(k->out_start);
+    free(k->table);
+    free(k->ev_cycle);
+    free(k);
+}
+
+/* neurons holds six columns of n values: threshold, standard resting,
+   refractory resting, absolute refractory, relative refractory, leak.
+   synapses holds four columns of n_syn values: pre, post, weight, delay.
+   events holds three columns of n_ev values: cycle, neuron, value, with
+   cycles non-decreasing. Every neuron index lies in [0, n), every delay in
+   [0, slots) and 1 <= weight_width <= 63. Returns NULL when an allocation
+   fails. */
+rk *rk_new(int64_t n, const int64_t *neurons, int64_t n_syn, const int64_t *synapses,
+           int64_t n_ev, const int64_t *events, int64_t slots,
+           int64_t table_len, const int64_t *table, int64_t stdp, int64_t weight_width)
+{
+    int64_t i;
+    rk *k = calloc(1, sizeof *k);
+    if (!k)
+        return NULL;
+    k->n = n;
+    k->n_syn = n_syn;
+    k->n_ev = n_ev;
+    k->slots = slots;
+    k->table_len = table_len;
+    k->stdp = stdp && table_len > 0;
+    k->weight_lo = -((int64_t)1 << (weight_width - 1));
+    k->weight_hi = -k->weight_lo - 1;
+
+    k->threshold = block(6, n, neurons);
+    k->acc = block(6, n, NULL);
+    k->syn_pre = block(6, n_syn, NULL);
+    k->out_start = block(2, n + 1 + n_syn, NULL);
+    k->table = block(1, table_len, table);
+    k->ev_cycle = block(3, n_ev, events);
+    k->ring = calloc((size_t)slots, sizeof *k->ring);
+    if (!k->threshold || !k->acc || !k->syn_pre || !k->out_start || !k->table
+        || !k->ev_cycle || !k->ring) {
+        rk_free(k);
+        return NULL;
+    }
+    if (n_syn)
+        memcpy(k->syn_pre, synapses, (size_t)(4 * n_syn) * sizeof *synapses);
+
+    k->std_rest = k->threshold + n;
+    k->ref_rest = k->threshold + 2 * n;
+    k->abs_ref = k->threshold + 3 * n;
+    k->rel_ref = k->threshold + 4 * n;
+    k->leak = k->threshold + 5 * n;
+
+    k->phase = k->acc + n;
+    k->phase_left = k->acc + 2 * n;
+    k->pending = k->acc + 3 * n;
+    k->last_exceed = k->acc + 4 * n;
+    k->got_delivery = k->acc + 5 * n;
+    for (i = 0; i < n; i++) {
+        k->acc[i] = k->std_rest[i];
+        k->last_exceed[i] = -1;
+    }
+
+    k->syn_post = k->syn_pre + n_syn;
+    k->syn_weight = k->syn_pre + 2 * n_syn;
+    k->syn_delay = k->syn_pre + 3 * n_syn;
+    k->syn_last_delivery = k->syn_pre + 4 * n_syn;
+    k->syn_delivered = k->syn_pre + 5 * n_syn;
+    for (i = 0; i < n_syn; i++)
+        k->syn_last_delivery[i] = -1;
+
+    k->pre_start = k->out_start + n + 1;
+    k->out_list = k->pre_start + n + 1;
+    k->pre_list = k->out_list + n_syn;
+    csr(n, n_syn, k->syn_pre, k->out_start, k->out_list);
+    csr(n, n_syn, k->syn_post, k->pre_start, k->pre_list);
+
+    k->ev_neuron = k->ev_cycle + n_ev;
+    k->ev_value = k->ev_cycle + 2 * n_ev;
+    return k;
+}
+
+static int push(slot *s, int64_t j)
+{
+    if (s->size == s->cap) {
+        int64_t cap = s->cap ? 2 * s->cap : 8;
+        int64_t *data = realloc(s->data, (size_t)cap * sizeof *data);
+        if (!data)
+            return -1;
+        s->data = data;
+        s->cap = cap;
+    }
+    s->data[s->size++] = j;
+    return 0;
+}
+
+static void adjust(rk *k, int64_t j, int64_t delta)
+{
+    int64_t w = k->syn_weight[j] + delta;
+    k->syn_weight[j] = w < k->weight_lo ? k->weight_lo : (w > k->weight_hi ? k->weight_hi : w);
+}
+
+/* One integration cycle. Writes the indices of the neurons that fired to
+   fired (n slots) and the charges as compared against the thresholds, before
+   the resting floors, to charges (n slots); either may be NULL. Returns the
+   number of neurons that fired, or -1 when an allocation failed, after which
+   the state is undefined and k may only be freed. */
+int64_t rk_step(rk *k, int64_t *fired, int64_t *charges)
+{
+    const int64_t t = k->cycle, n = k->n, half = k->table_len / 2;
+    int64_t i, j, p, x, floor, value, count = 0;
+    slot *now;
+
+    /* FIRE */
+    for (i = 0; i < n; i++) {
+        if (!k->pending[i])
+            continue;
+        if (fired)
+            fired[count] = i;
+        count++;
+        for (x = k->out_start[i]; x < k->out_start[i + 1]; x++) {
+            j = k->out_list[x];
+            if (push(&k->ring[(t + k->syn_delay[j]) % k->slots], j) < 0)
+                return -1;
+        }
+        k->acc[i] = k->rel_ref[i] > 0 ? k->ref_rest[i] : k->std_rest[i];
+        if (k->abs_ref[i] > 0) {
+            k->phase[i] = PH_ABS;
+            k->phase_left[i] = k->abs_ref[i];
+        } else if (k->rel_ref[i] > 0) {
+            k->phase[i] = PH_REL;
+            k->phase_left[i] = k->rel_ref[i];
+        } else {
+            k->phase[i] = PH_STD;
+            k->phase_left[i] = 0;
+        }
+        k->pending[i] = 0;
+    }
+
+    /* LEAK, suspended during absolute refractory */
+    for (i = 0; i < n; i++) {
+        if (k->leak[i] <= 0 || k->phase[i] == PH_ABS)
+            continue;
+        floor = k->phase[i] == PH_STD ? k->std_rest[i] : k->ref_rest[i];
+        if (k->acc[i] > floor) {
+            value = k->acc[i] - k->leak[i];
+            k->acc[i] = value > floor ? value : floor;
+        }
+    }
+
+    /* DELIVER */
+    now = &k->ring[t % k->slots];
+    for (x = 0; x < now->size; x++) {
+        j = now->data[x];
+        k->syn_delivered[j] = 1;
+        k->syn_last_delivery[j] = t;
+        p = k->syn_post[j];
+        k->got_delivery[p] = 1;
+        if (k->phase[p] != PH_ABS)
+            k->acc[p] += k->syn_weight[j];
+    }
+    for (; k->ev_cursor < k->n_ev && k->ev_cycle[k->ev_cursor] == t; k->ev_cursor++) {
+        i = k->ev_neuron[k->ev_cursor];
+        if (k->phase[i] != PH_ABS)
+            k->acc[i] += k->ev_value[k->ev_cursor];
+    }
+
+    /* SETTLE: threshold comparison and STDP */
+    for (i = 0; i < n; i++) {
+        if (k->acc[i] > k->threshold[i]) {
+            k->pending[i] = 1;
+            if (k->stdp)
+                for (x = k->pre_start[i]; x < k->pre_start[i + 1]; x++) {
+                    j = k->pre_list[x];
+                    if (k->syn_last_delivery[j] >= 0 && half - (t - k->syn_last_delivery[j]) >= 0)
+                        adjust(k, j, k->table[half - (t - k->syn_last_delivery[j])]);
+                }
+            k->last_exceed[i] = t;
+        } else if (k->stdp && k->got_delivery[i] && k->last_exceed[i] >= 0
+                   && half + (t - k->last_exceed[i]) < k->table_len) {
+            for (x = k->pre_start[i]; x < k->pre_start[i + 1]; x++) {
+                j = k->pre_list[x];
+                if (k->syn_delivered[j])
+                    adjust(k, j, k->table[half + (t - k->last_exceed[i])]);
+            }
+        }
+    }
+
+    if (charges && n)
+        memcpy(charges, k->acc, (size_t)n * sizeof *charges);
+
+    /* Resting floors and refractory bookkeeping, after the report. */
+    for (i = 0; i < n; i++) {
+        if (k->phase[i] == PH_STD) {
+            if (k->acc[i] < k->std_rest[i])
+                k->acc[i] = k->std_rest[i];
+        } else if (k->phase[i] == PH_REL) {
+            if (k->acc[i] < k->ref_rest[i])
+                k->acc[i] = k->ref_rest[i];
+            if (--k->phase_left[i] == 0) {
+                k->phase[i] = PH_STD;
+                if (k->acc[i] < k->std_rest[i])
+                    k->acc[i] = k->std_rest[i];
+            }
+        } else if (--k->phase_left[i] == 0) {
+            k->phase[i] = k->rel_ref[i] > 0 ? PH_REL : PH_STD;
+            k->phase_left[i] = k->rel_ref[i];
+        }
+    }
+    for (x = 0; x < now->size; x++) {
+        j = now->data[x];
+        k->syn_delivered[j] = 0;
+        k->got_delivery[k->syn_post[j]] = 0;
+    }
+    now->size = 0;
+    k->cycle = t + 1;
+    return count;
+}
+
+/* Runs cycles steps without reports. Returns 0, or -1 as rk_step does. */
+int64_t rk_advance(rk *k, int64_t cycles)
+{
+    for (; cycles > 0; cycles--)
+        if (rk_step(k, NULL, NULL) < 0)
+            return -1;
+    return 0;
+}
+
+/* Copies the charges (n values), the synapse weights (n_syn values) and the
+   (phase, cycles left) pairs (2n values) into the buffers given; any may be
+   NULL. Returns the number of cycles run. */
+int64_t rk_read(const rk *k, int64_t *charges, int64_t *weights, int64_t *phases)
+{
+    int64_t i;
+    if (charges && k->n)
+        memcpy(charges, k->acc, (size_t)k->n * sizeof *charges);
+    if (weights && k->n_syn)
+        memcpy(weights, k->syn_weight, (size_t)k->n_syn * sizeof *weights);
+    if (phases)
+        for (i = 0; i < k->n; i++) {
+            phases[2 * i] = k->phase[i];
+            phases[2 * i + 1] = k->phase_left[i];
+        }
+    return k->cycle;
+}

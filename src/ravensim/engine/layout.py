@@ -7,7 +7,8 @@ construction of their inputs. Only the inner loops differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from ..netmodel import HardwareConstants, Network, signed_range
 from .events import INJECTION, Stimulus
@@ -36,11 +37,14 @@ class Layout:
     out_synapses: list[list[int]]
     pre_synapses: list[list[int]]
 
-    # Stimulus events grouped by cycle: (neuron, is_injection, value).
-    events_by_cycle: dict[int, list[tuple[int, bool, int]]]
+    # Stimulus events as columns, stably sorted by cycle: the cycle, the
+    # target neuron, and the charge the event adds (the input spike amount
+    # or the injected value).
+    ev_cycle: list[int]
+    ev_neuron: list[int]
+    ev_value: list[int]
 
     ring_slots: int
-    input_spike_amount: int
     stdp_enabled: bool
     stdp_table: tuple[int, ...]
     weight_width: int
@@ -77,10 +81,8 @@ def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
         out_synapses[p].append(j)
         pre_synapses[q].append(j)
 
-    events_by_cycle: dict[int, list[tuple[int, bool, int]]] = {}
-    for ev in stim.events:
-        entry = (index[ev.neuron], ev.kind == INJECTION, ev.value)
-        events_by_cycle.setdefault(ev.cycle, []).append(entry)
+    events = sorted(stim.events, key=attrgetter("cycle"))
+    amount = net.input_spike_amount
 
     return Layout(
         names=net.neuron_names(),
@@ -97,9 +99,10 @@ def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
         syn_delay=syn_delay,
         out_synapses=out_synapses,
         pre_synapses=pre_synapses,
-        events_by_cycle=events_by_cycle,
+        ev_cycle=[ev.cycle for ev in events],
+        ev_neuron=[index[ev.neuron] for ev in events],
+        ev_value=[ev.value if ev.kind == INJECTION else amount for ev in events],
         ring_slots=hw.max_delay + 1,
-        input_spike_amount=net.input_spike_amount,
         stdp_enabled=net.stdp_enabled,
         stdp_table=tuple(hw.stdp_table),
         weight_width=hw.weight_width,

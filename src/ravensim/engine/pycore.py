@@ -50,8 +50,10 @@ class PyEngine:
         self.out_synapses = [list(v) for v in lay.out_synapses]
         self.pre_synapses = [list(v) for v in lay.pre_synapses]
 
-        self.events_by_cycle = {c: list(v) for c, v in lay.events_by_cycle.items()}
-        self.input_spike_amount = lay.input_spike_amount
+        self.ev_cycle = lay.ev_cycle
+        self.ev_neuron = lay.ev_neuron
+        self.ev_value = lay.ev_value
+        self.ev_cursor = 0
         self.stdp_enabled = lay.stdp_enabled
         self.stdp_table = tuple(lay.stdp_table)
         wlo = -(1 << (lay.weight_width - 1))
@@ -134,10 +136,13 @@ class PyEngine:
                 self.delivery_log.append((t - self.syn_delay[j], t, j))
             if phase[post] != PHASE_ABSOLUTE:
                 acc[post] += self.syn_weight[j]
-        for (i, is_injection, value) in self.events_by_cycle.get(t, ()):
-            if phase[i] == PHASE_ABSOLUTE:
-                continue
-            acc[i] += value if is_injection else self.input_spike_amount
+        ev = self.ev_cursor
+        while ev < len(self.ev_cycle) and self.ev_cycle[ev] == t:
+            i = self.ev_neuron[ev]
+            if phase[i] != PHASE_ABSOLUTE:
+                acc[i] += self.ev_value[ev]
+            ev += 1
+        self.ev_cursor = ev
 
         # SETTLE
         table = self.stdp_table

@@ -1,15 +1,22 @@
-"""Seeded random network/stimulus generator shared by the differential tests.
+"""Seeded random network/stimulus generators shared by the differential tests.
 
 Every draw stays inside the hardware limits by construction, so generated
 setups always validate. Widths are kept small enough that the compiled
-kernel is eligible too.
+kernel is eligible too. random_setup draws tiny networks of every shape;
+build_setup draws self-sustaining networks at the sizes the benchmark uses.
 """
 
 from __future__ import annotations
 
 import random
 
-from ravensim import HardwareConstants, Network, NeuronSettings, SynapseSettings
+from ravensim import (
+    HardwareConstants,
+    Network,
+    NeuronSettings,
+    SynapseSettings,
+    min_accumulator_width,
+)
 from ravensim.engine import INJECTION, INPUT_SPIKE, Stimulus, StimulusEvent
 
 FUZZ_CYCLES = 64
@@ -75,3 +82,52 @@ def random_setup(rng: random.Random) -> tuple[Network, HardwareConstants, Stimul
                                         INPUT_SPIKE))
     events.sort(key=lambda ev: ev.cycle)
     return net, hw, Stimulus(tuple(events))
+
+
+def build_setup(n_neurons: int, fan_out: int, max_delay: int, stdp: bool,
+                seed: int) -> tuple[Network, HardwareConstants, Stimulus]:
+    """A network that keeps firing once kicked.
+
+    Each neuron has fan_out outgoing synapses: a zero-delay self-synapse
+    strong enough to re-fire it every cycle, and fan_out - 1 random ones.
+    Every neuron gets an input spike at cycle 0.
+    """
+    rng = random.Random(seed)
+    neurons = []
+    for i in range(n_neurons):
+        kw = dict(name=f"n{i}", threshold=1, leak=1)
+        roll = rng.random()
+        if roll < 0.1:
+            kw.update(abs_refractory=rng.randint(1, 2))
+        elif roll < 0.2:
+            kw.update(rel_refractory=rng.randint(1, 2), refractory_resting=-2)
+        neurons.append(NeuronSettings(**kw))
+
+    synapses = [SynapseSettings(f"n{i}", f"n{i}", 2, 0)
+                for i in range(n_neurons) if fan_out > 0]
+    for i in range(n_neurons):
+        for _ in range(max(fan_out - 1, 0)):
+            target = rng.randrange(n_neurons)
+            weight = rng.choice((-2, -1, 1, 2, 3))
+            delay = rng.randrange(max_delay + 1)
+            synapses.append(SynapseSettings(f"n{i}", f"n{target}", weight, delay))
+
+    fan_in: dict[str, int] = {m.name: 0 for m in neurons}
+    for s in synapses:
+        fan_in[s.post] += 1
+    ports = max([1, *fan_in.values()])
+    hw = HardwareConstants(
+        accumulator_width=min_accumulator_width(4, ports, 0) + 8,
+        threshold_width=4,
+        weight_width=4,
+        max_delay=max_delay,
+        max_leak=4,
+        max_abs_refractory=4,
+        max_rel_refractory=4,
+        ports=ports,
+        injection_ports=0,
+        stdp_table=(1, 1, -1) if stdp else (),
+    )
+    net = Network(tuple(neurons), tuple(synapses), stdp_enabled=stdp)
+    stim = Stimulus(tuple(StimulusEvent(0, f"n{i}") for i in range(n_neurons)))
+    return net, hw, stim

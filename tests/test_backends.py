@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import shutil
 
 import pytest
 
-from fuzz import FUZZ_CYCLES, random_setup
+from fuzz import FUZZ_CYCLES, build_setup, random_setup
 from ravensim import (
     HardwareConstants,
     Network,
@@ -16,11 +17,14 @@ from ravensim import (
     new_engine,
     new_reference_engine,
 )
-from ravensim.engine import Stimulus, StimulusEvent
+from ravensim.cli import EXIT_OK, main
+from ravensim.engine import Stimulus, StimulusEvent, compiled
 from ravensim.engine.compiled import available as kernel_available
+from ravensim.ioformats import load_stimulus, parse_trace_jsonl, save_hardware, save_network
 
-needs_kernel = pytest.mark.skipif(not kernel_available(),
-                                  reason="compiled kernel not built")
+# The kernel is built on first use wherever a C compiler is on PATH, so only
+# a missing compiler may skip the compiled backend's tests.
+needs_kernel = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc)")
 
 
 def tiny_setup():
@@ -34,6 +38,31 @@ def tiny_setup():
 
 def test_python_backend_always_available():
     assert "python" in available_backends()
+
+
+@needs_kernel
+def test_kernel_builds_wherever_cc_exists():
+    assert "compiled" in available_backends()
+
+
+def test_kernel_build_fails_soft(monkeypatch, tmp_path):
+    # A source that does not compile, a directory that cannot take the
+    # library, then no compiler at all; none leaves a file behind.
+    broken = tmp_path / "kernel.c"
+    broken.write_text("this is not C\n")
+    monkeypatch.setattr(compiled, "_SOURCE", broken)
+    assert not compiled._build(tmp_path / "kernel.so")
+    assert not compiled._build(tmp_path / "missing" / "kernel.so")
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    assert not compiled._build(tmp_path / "kernel.so")
+    assert list(tmp_path.iterdir()) == [broken]
+
+    monkeypatch.setattr(compiled, "available", lambda: False)
+    net, hw, stim = tiny_setup()
+    assert available_backends() == ["python"]
+    assert new_engine(net, hw, stim).backend == "python"
+    with pytest.raises(ValueError, match="cannot be built"):
+        new_engine(net, hw, stim, backend="compiled")
 
 
 def test_new_engine_validates():
@@ -88,6 +117,7 @@ def test_delivery_recording_requires_python_backend():
     net, hw, stim = tiny_setup()
     with pytest.raises(ValueError, match="delivery recording"):
         new_engine(net, hw, stim, backend="compiled", record_deliveries=True)
+    assert new_engine(net, hw, stim, record_deliveries=True).backend == "python"
 
 
 @needs_kernel
@@ -129,3 +159,70 @@ def test_compiled_advance_equals_stepping():
     assert advanced.charges() == stepped.charges()
     assert advanced.weights() == stepped.weights()
     assert advanced.phases() == stepped.phases()
+
+
+@needs_kernel
+@pytest.mark.parametrize("stdp", [False, True], ids=["stdp_off", "stdp_on"])
+@pytest.mark.parametrize("n_neurons, fan_out, max_delay", [
+    (128, 8, 4),  # the bench shape: delivery ring slots grow to hundreds of entries
+    (0, 8, 4),
+    (16, 0, 4),
+    (16, 8, 0),
+], ids=["bench", "empty_network", "no_synapses", "one_ring_slot"])
+def test_compiled_matches_python_at_bench_scale(n_neurons, fan_out, max_delay, stdp):
+    net, hw, stim = build_setup(n_neurons, fan_out, max_delay, stdp, seed=1)
+    py = new_engine(net, hw, stim, backend="python")
+    ck = new_engine(net, hw, stim, backend="compiled")
+    assert ck.run(50) == py.run(50)
+    py.advance(950)
+    ck.advance(950)
+    assert ck.cycle == py.cycle == 1000
+    assert ck.charges() == py.charges()
+    assert ck.weights() == py.weights()
+    assert ck.phases() == py.phases()
+
+
+def overflow_setup(width: int, amount: int, stim_text: str):
+    hw = HardwareConstants(
+        accumulator_width=width, threshold_width=4, weight_width=4, max_delay=2,
+        max_leak=2, max_abs_refractory=2, max_rel_refractory=2, ports=2,
+        injection_ports=0)
+    net = Network((NeuronSettings("A", threshold=1),), (), input_spike_amount=amount)
+    return net, hw, load_stimulus(stim_text, net, hw)
+
+
+# Inputs the kernel cannot hold in int64_t: five input spikes of 2**61 - 1
+# on one neuron in one cycle, or a stimulus cycle above 2**63. The last
+# entry is the charge of A after cycle 0.
+OVERFLOWS = {
+    "duplicate_events": (62, (1 << 61) - 1, "AS 0 A\n" * 5, 11529215046068469755),
+    "huge_cycle": (8, 2, "AS 0 A\nAS 99999999999999999999 A\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_values_beyond_int64_stay_on_python(name, tmp_path, capsys):
+    width, amount, stim_text, charge = OVERFLOWS[name]
+    net, hw, stim = overflow_setup(width, amount, stim_text)
+    auto = new_engine(net, hw, stim)
+    assert auto.backend == "python"
+    trace = auto.run(3)
+    assert trace == new_engine(net, hw, stim, backend="python").run(3)
+    assert trace[0].charges == {"A": charge}
+    assert trace[1].fired == ("A",)
+    with pytest.raises(ValueError, match="64-bit" if kernel_available() else "cannot be built"):
+        new_engine(net, hw, stim, backend="compiled")
+
+    paths = {"hw": save_hardware(hw), "net": save_network(net), "stim": stim_text}
+    argv = ["run", "--cycles", "3", "--format", "jsonl"]
+    for flag, text in paths.items():
+        (tmp_path / flag).write_text(text)
+        argv += [f"--{flag}", str(tmp_path / flag)]
+    assert main(argv) == EXIT_OK
+    assert parse_trace_jsonl(capsys.readouterr().out) == trace
+
+    if kernel_available():
+        # The first stimulus line alone fits.
+        fits = overflow_setup(width, amount, stim_text.splitlines()[0])
+        assert new_engine(*fits).backend == "compiled"
+
