@@ -13,7 +13,6 @@ from .engine import (
     available_backends,
     new_engine,
     new_reference_engine,
-    run,
 )
 from .netmodel import (
     HardwareConstants,
@@ -44,7 +43,6 @@ __all__ = [
     "new_engine",
     "new_reference_engine",
     "resource_report",
-    "run",
     "validate_network",
     "__version__",
 ]

@@ -2,12 +2,15 @@
 
     ravensim validate --hw HW --net NET
     ravensim report   --hw HW --net NET
-    ravensim run      --hw HW --net NET --stim STIM --cycles N [--format table|jsonl]
-    ravensim golden   [--fixtures DIR] [--backend auto|python|compiled|reference]
+    ravensim run      --hw HW --net NET --stim STIM --cycles N
+                      [--format table|jsonl] [--backend BACKEND]
+    ravensim golden   [--fixtures DIR] [--backend BACKEND]
+
+BACKEND is one of auto (the default), python, compiled and reference.
 
 Traces go to standard output; everything diagnostic goes to standard error.
 Exit status: 0 success, 1 validation failure or golden divergence, 2 parse
-or usage errors.
+or usage errors, or an input the chosen backend cannot run.
 """
 
 from __future__ import annotations
@@ -18,15 +21,13 @@ import time
 from pathlib import Path
 
 from . import goldens
-from .engine import new_engine
+from .engine import BACKENDS, new_engine
 from .ioformats import FormatError, format_trace, load_hardware, load_stimulus, parse_network
 from .netmodel import ValidationError, resource_report, validate_network
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-_BACKENDS = ("auto", "python", "compiled", "reference")
 
 
 def _read(path: str) -> str:
@@ -42,6 +43,11 @@ def _load_pair(hw_path: str, net_path: str):
     return hw, net
 
 
+def _print_violations(report) -> None:
+    for v in report.violations:
+        print(f"violation [{v.rule}] {v.message}", file=sys.stderr)
+
+
 def _cmd_validate(args) -> int:
     hw, net = _load_pair(args.hw, args.net)
     report = validate_network(net, hw)
@@ -49,8 +55,7 @@ def _cmd_validate(args) -> int:
         print(f"ok: {len(net.neurons)} neurons, {len(net.synapses)} synapses, "
               f"min accumulator width {report.min_accumulator_width}")
         return EXIT_OK
-    for v in report.violations:
-        print(f"violation [{v.rule}] {v.message}", file=sys.stderr)
+    _print_violations(report)
     print(f"{len(report.violations)} violation(s)", file=sys.stderr)
     return EXIT_FAIL
 
@@ -59,20 +64,13 @@ def _cmd_report(args) -> int:
     hw, net = _load_pair(args.hw, args.net)
     report = validate_network(net, hw)
     if not report.ok:
-        for v in report.violations:
-            print(f"violation [{v.rule}] {v.message}", file=sys.stderr)
-        return EXIT_FAIL
+        raise ValidationError(report)
     print(resource_report(net, hw))
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     hw, net = _load_pair(args.hw, args.net)
-    report = validate_network(net, hw)
-    if not report.ok:
-        for v in report.violations:
-            print(f"violation [{v.rule}] {v.message}", file=sys.stderr)
-        return EXIT_FAIL
     stim = load_stimulus(_read(args.stim), net, hw)
     engine = new_engine(net, hw, stim, backend=args.backend)
     trace = engine.run(args.cycles)
@@ -117,12 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stim", required=True, help="stimulus text file")
     p.add_argument("--cycles", type=int, required=True, help="number of cycles (>= 0)")
     p.add_argument("--format", choices=("table", "jsonl"), default="table")
-    p.add_argument("--backend", choices=_BACKENDS, default="auto")
+    p.add_argument("--backend", choices=BACKENDS, default="auto")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("golden", help="run the bundled golden regression cases")
     p.add_argument("--fixtures", default=None, help="fixtures directory (bundled by default)")
-    p.add_argument("--backend", choices=_BACKENDS, default="auto")
+    p.add_argument("--backend", choices=BACKENDS, default="auto")
     p.set_defaults(func=_cmd_golden)
 
     return parser
@@ -141,10 +139,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ValidationError as e:
-        for v in e.report.violations:
-            print(f"violation [{v.rule}] {v.message}", file=sys.stderr)
+        _print_violations(e.report)
         return EXIT_FAIL
-    except FormatError as e:
+    except ValueError as e:  # a FormatError, or a backend that cannot run the input
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

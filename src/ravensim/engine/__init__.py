@@ -1,16 +1,16 @@
-"""Engine construction and backend selection.
+"""Engine construction: new_engine is the one way to build any backend.
 
-new_engine picks the compiled kernel when it can be built here, every
-value it would hold fits its 64-bit arithmetic and no delivery log is
-asked for, otherwise the pure-Python backend. Set RAVENSIM_BACKEND=python
-or pass backend= to pin one explicitly. Both backends implement identical
-cycle semantics; the test suite holds them equal on every fixture and on
-randomized networks.
+new_engine validates the network and the stimulus, then builds the engine
+its backend= argument names (one of BACKENDS). "auto" picks the compiled
+kernel when it can be built here, every value it would hold fits its 64-bit
+arithmetic and no delivery log is asked for, otherwise the pure-Python
+backend; "reference" is the naive differential-testing oracle. All backends
+implement identical cycle semantics; the test suite holds them equal on
+every fixture and on randomized networks.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 
 from ..netmodel import HardwareConstants, Network, ValidationError, validate_network
@@ -30,6 +30,7 @@ from .pycore import PyEngine
 from .reference import ReferenceEngine
 
 __all__ = [
+    "BACKENDS",
     "INJECTION",
     "INPUT_SPIKE",
     "PHASE_ABSOLUTE",
@@ -43,10 +44,9 @@ __all__ = [
     "available_backends",
     "new_engine",
     "new_reference_engine",
-    "reference_step",
-    "run",
-    "step",
 ]
+
+BACKENDS = ("auto", "python", "compiled", "reference")
 
 _INT64_MAX = (1 << 63) - 1
 
@@ -83,15 +83,17 @@ def _kernel_fits(hw: HardwareConstants, layout: Layout) -> bool:
 def new_engine(net: Network, hw: HardwareConstants, stim: Stimulus | None = None,
                backend: str = "auto", record_deliveries: bool = False):
     """Validate and build a simulator over net/hw driven by stim."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend: {backend}")
+    if record_deliveries and backend not in ("auto", "python"):
+        raise ValueError("delivery recording is only available on the python backend")
     stim = stim if stim is not None else Stimulus.empty()
     report = validate_network(net, hw)
     if not report.ok:
         raise ValidationError(report)
     check_stimulus(stim, net, hw)
-
-    if backend == "auto":
-        env = os.environ.get("RAVENSIM_BACKEND", "auto")
-        backend = env if env in ("python", "compiled") else "auto"
+    if backend == "reference":
+        return ReferenceEngine(net, hw, stim)
 
     layout = build_layout(net, hw, stim)
     if backend == "auto":
@@ -99,41 +101,15 @@ def new_engine(net: Network, hw: HardwareConstants, stim: Stimulus | None = None
         backend = "compiled" if fits else "python"
     if backend == "python":
         return PyEngine(layout, record_deliveries=record_deliveries)
-    if backend == "compiled":
-        if not compiled.available():
-            raise ValueError("compiled backend requested but the kernel cannot be built")
-        if not _kernel_fits(hw, layout):
-            raise ValueError("compiled backend cannot hold the configured bit widths "
-                             "and stimulus in 64-bit integers")
-        if record_deliveries:
-            raise ValueError("delivery recording is only available on the python backend")
-        return compiled.CompiledEngine(layout)
-    raise ValueError(f"unknown backend: {backend}")
+    if not compiled.available():
+        raise ValueError("compiled backend requested but the kernel cannot be built")
+    if not _kernel_fits(hw, layout):
+        raise ValueError("compiled backend cannot hold the configured bit widths "
+                         "and stimulus in 64-bit integers")
+    return compiled.CompiledEngine(layout)
 
 
 def new_reference_engine(net: Network, hw: HardwareConstants,
                          stim: Stimulus | None = None) -> ReferenceEngine:
-    """Build the naive differential-testing oracle over the same inputs."""
-    stim = stim if stim is not None else Stimulus.empty()
-    report = validate_network(net, hw)
-    if not report.ok:
-        raise ValidationError(report)
-    check_stimulus(stim, net, hw)
-    return ReferenceEngine(net, hw, stim)
-
-
-def step(engine) -> CycleReport:
-    """Advance one integration cycle and report it."""
-    return engine.step()
-
-
-def reference_step(engine: ReferenceEngine) -> CycleReport:
-    """step() on the naive oracle; kept separate for differential tests."""
-    return engine.step()
-
-
-def run(engine, n_cycles: int) -> list[CycleReport]:
-    """Step n_cycles times, collecting one report per cycle."""
-    if n_cycles < 0:
-        raise ValueError("cycle count must be >= 0")
-    return [engine.step() for _ in range(n_cycles)]
+    """new_engine(..., backend="reference"): the naive differential-testing oracle."""
+    return new_engine(net, hw, stim, backend="reference")

@@ -2,9 +2,10 @@
 
 The first use builds kernel.c with ``cc`` into ``_kernel-<sha256>.so`` next
 to the source. The hash of the source in the name means an edited kernel is
-never run against a stale library. Without ``cc``, after a failed build, or
-in a package directory that cannot be written, available() is False and
-new_engine uses the pure-Python backend instead.
+never run against a stale library; a successful build deletes the libraries
+of earlier sources. Without ``cc``, after a failed build, or in a package
+directory that cannot be written, available() is False and new_engine uses
+the pure-Python backend instead.
 """
 
 from __future__ import annotations
@@ -42,12 +43,18 @@ def _build(target: Path) -> bool:
         subprocess.run([cc, "-O2", "-std=c99", "-shared", "-fPIC", "-o", tmp, str(_SOURCE)],
                        check=True, capture_output=True)
         os.replace(tmp, target)
-        return True
     except (OSError, subprocess.CalledProcessError):
         return False
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in _SOURCE.parent.glob("_kernel-*.so"):  # built from earlier sources
+        if stale != target:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
+    return True
 
 
 @functools.cache

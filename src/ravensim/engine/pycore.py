@@ -209,7 +209,7 @@ class PyEngine:
         return [self.step() for _ in range(n_cycles)]
 
     def advance(self, n_cycles: int) -> None:
-        """Step n_cycles without building reports (benchmark fast path)."""
+        """Step n_cycles, discarding the reports; CompiledEngine.advance never builds them."""
         for _ in range(n_cycles):
             self.step()
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .engine import CycleReport, new_engine, new_reference_engine
+from .engine import CycleReport, new_engine
 from .ioformats import (
     FormatError,
     load_hardware,
@@ -122,9 +122,6 @@ def run_golden(case: GoldenCase, backend: str = "auto") -> list[TraceDiff]:
     An empty list means the case passed; otherwise the first entry is the
     first divergent (cycle, neuron, field) triple.
     """
-    if backend == "reference":
-        engine = new_reference_engine(case.network, case.hardware, case.stimulus)
-    else:
-        engine = new_engine(case.network, case.hardware, case.stimulus, backend=backend)
+    engine = new_engine(case.network, case.hardware, case.stimulus, backend=backend)
     trace = engine.run(case.cycles)
     return compare_traces(case.expected, trace)

@@ -19,7 +19,6 @@ import time
 import test_properties
 from fuzz import FUZZ_CYCLES, random_setup
 from ravensim import goldens, min_accumulator_width, new_engine, new_reference_engine
-from ravensim.engine import reference_step, step
 from ravensim.plasticity import potentiation_index
 from ravensim.reconstruct import JOINT_CASES, joint_edge_search, verify_case
 
@@ -97,7 +96,7 @@ def test_criterion_4_differential_oracle():
         fast = new_engine(net, hw, stim, backend="python")
         oracle = new_reference_engine(net, hw, stim)
         for cycle in range(FUZZ_CYCLES):
-            if step(fast) != reference_step(oracle):
+            if fast.step() != oracle.step():
                 divergences += 1
                 first = first or (trial, cycle)
                 break

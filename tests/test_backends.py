@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import shutil
 
@@ -65,6 +66,23 @@ def test_kernel_build_fails_soft(monkeypatch, tmp_path):
         new_engine(net, hw, stim, backend="compiled")
 
 
+@needs_kernel
+def test_build_deletes_stale_kernel_libraries(monkeypatch, tmp_path):
+    source = tmp_path / "kernel.c"
+    source.write_bytes(compiled._SOURCE.read_bytes())
+    stale = tmp_path / "_kernel-deadbeef.so"
+    stale.write_bytes(b"built from an earlier kernel.c")
+    monkeypatch.setattr(compiled, "_SOURCE", source)
+    compiled._library.cache_clear()
+    try:
+        assert compiled.available()
+    finally:
+        compiled._library.cache_clear()
+    assert not stale.exists()
+    assert [path.name for path in tmp_path.glob("_kernel-*.so")] == [
+        f"_kernel-{hashlib.sha256(source.read_bytes()).hexdigest()}.so"]
+
+
 def test_new_engine_validates():
     net, hw, stim = tiny_setup()
     bad = Network((NeuronSettings("A", threshold=99),), ())
@@ -72,8 +90,11 @@ def test_new_engine_validates():
         new_engine(bad, hw)
     with pytest.raises(ValueError, match="unknown neuron"):
         new_engine(net, hw, Stimulus((StimulusEvent(0, "Z"),)))
+    # Backend arguments are rejected before the network is even validated.
     with pytest.raises(ValueError, match="unknown backend"):
-        new_engine(net, hw, stim, backend="gpu")
+        new_engine(bad, hw, stim, backend="gpu")
+    with pytest.raises(ValueError, match="delivery recording"):
+        new_engine(bad, hw, stim, backend="reference", record_deliveries=True)
 
 
 def test_backend_attribute_names_the_implementation():
@@ -83,21 +104,6 @@ def test_backend_attribute_names_the_implementation():
     if kernel_available():
         assert new_engine(net, hw, stim, backend="compiled").backend == "compiled"
         assert new_engine(net, hw, stim, backend="auto").backend == "compiled"
-
-
-def test_env_var_pins_backend(monkeypatch):
-    net, hw, stim = tiny_setup()
-    monkeypatch.setenv("RAVENSIM_BACKEND", "python")
-    assert new_engine(net, hw, stim, backend="auto").backend == "python"
-    monkeypatch.setenv("RAVENSIM_BACKEND", "nonsense")
-    engine = new_engine(net, hw, stim, backend="auto")
-    assert engine.backend in ("python", "compiled")
-
-
-def test_explicit_backend_ignores_env(monkeypatch):
-    net, hw, stim = tiny_setup()
-    monkeypatch.setenv("RAVENSIM_BACKEND", "compiled")
-    assert new_engine(net, hw, stim, backend="python").backend == "python"
 
 
 @needs_kernel

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ravensim
 from ravensim.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from ravensim.engine import BACKENDS
 from ravensim.ioformats import parse_trace_jsonl
+
+SRC = str(Path(ravensim.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -62,6 +69,52 @@ def test_run_emits_expected_trace(case_paths, capsys):
     assert code == EXIT_OK
     assert err == ""
     assert tuple(parse_trace_jsonl(out)) == case.expected
+
+
+def run_argv(case_paths, stim=None):
+    return ["run", "--hw", case_paths["hw"], "--net", case_paths["net"],
+            "--stim", stim or case_paths["stim"],
+            "--cycles", str(case_paths["case"].cycles), "--format", "jsonl"]
+
+
+def skip_compiled_without_cc(backend):
+    if backend == "compiled" and shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc)")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_prints_the_same_trace_on_every_backend(backend, case_paths, capsys):
+    skip_compiled_without_cc(backend)
+    assert main(run_argv(case_paths) + ["--backend", "python"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(run_argv(case_paths) + ["--backend", backend]) == EXIT_OK
+    assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_golden_passes_on_every_backend(backend, capsys):
+    skip_compiled_without_cc(backend)
+    assert main(["golden", "--backend", backend]) == EXIT_OK
+    assert "12/12 passed" in capsys.readouterr().out
+
+
+def cli_process(argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ravensim.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_backend_errors_exit_without_traceback(tmp_path, case_paths):
+    reference = cli_process(run_argv(case_paths) + ["--backend", "reference"])
+    assert reference.returncode == EXIT_OK
+    # A stimulus cycle beyond int64_t: the kernel cannot hold it, and without
+    # cc it cannot be built; either way a one-line error.
+    stim = tmp_path / "stimulus.txt"
+    stim.write_text("AS 99999999999999999999 Main\n")
+    compiled = cli_process(run_argv(case_paths, str(stim)) + ["--backend", "compiled"])
+    assert compiled.returncode == EXIT_USAGE
+    assert compiled.stderr.startswith("error: compiled backend")
+    assert "Traceback" not in reference.stderr + compiled.stderr
 
 
 def test_run_table_header(case_paths, capsys):
