@@ -1,12 +1,16 @@
 """Engine construction: new_engine is the one way to build any backend.
 
-new_engine validates the network and the stimulus, then builds the engine
-its backend= argument names (one of BACKENDS). "auto" picks the compiled
-kernel when it can be built here, every value it would hold fits its 64-bit
-arithmetic and no delivery log is asked for, otherwise the pure-Python
-backend; "reference" is the naive differential-testing oracle. All backends
-implement identical cycle semantics; the test suite holds them equal on
-every fixture and on randomized networks.
+new_engine validates the network and the stimulus, then builds one Engine
+class around the cycle core its backend= argument names (one of BACKENDS).
+"auto" picks the compiled kernel when it can be built here, every value it
+would hold fits its 64-bit arithmetic and no delivery log is asked for,
+otherwise the pure-Python core; "reference" is the naive differential-testing
+oracle. The cores implement identical cycle semantics; the test suite holds
+them equal on every fixture and on randomized networks.
+
+A core mirrors the kernel.c ABI: step() runs one cycle and returns the fired
+neuron indices and every charge as compared, in neuron order; advance(n) runs
+n cycles; charges(), weights() and phases() read the state as lists.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ __all__ = [
     "PHASE_RELATIVE",
     "PHASE_STANDARD",
     "CycleReport",
-    "PyEngine",
-    "ReferenceEngine",
+    "Engine",
     "Stimulus",
     "StimulusEvent",
     "available_backends",
@@ -49,6 +52,48 @@ __all__ = [
 BACKENDS = ("auto", "python", "compiled", "reference")
 
 _INT64_MAX = (1 << 63) - 1
+
+
+class Engine:
+    """A simulator over one network: the public state and the cycle reports
+    around the cycle core of one backend. Not thread-safe."""
+
+    def __init__(self, backend: str, names: list[str], core,
+                 delivery_log: list[tuple[int, int, int]] | None = None):
+        self.backend = backend
+        self.names = names
+        self.cycle = 0
+        # (scheduled cycle, delivery cycle, synapse index) when recording.
+        self.delivery_log = [] if delivery_log is None else delivery_log
+        self._core = core
+
+    def step(self) -> CycleReport:
+        fired, charges = self._core.step()
+        names, t = self.names, self.cycle
+        self.cycle = t + 1
+        return CycleReport(t, tuple([names[i] for i in fired]), dict(zip(names, charges)))
+
+    def run(self, n_cycles: int) -> list[CycleReport]:
+        if n_cycles < 0:
+            raise ValueError("cycle count must be >= 0")
+        return [self.step() for _ in range(n_cycles)]
+
+    def advance(self, n_cycles: int) -> None:
+        """Run n_cycles without building their reports."""
+        if n_cycles < 0:
+            raise ValueError("cycle count must be >= 0")
+        self._core.advance(n_cycles)
+        self.cycle += n_cycles
+
+    def charges(self) -> dict[str, int]:
+        return dict(zip(self.names, self._core.charges()))
+
+    def weights(self) -> list[int]:
+        return self._core.weights()
+
+    def phases(self) -> list[tuple[int, int]]:
+        """(phase code, cycles left in it) for every neuron."""
+        return self._core.phases()
 
 
 def available_backends() -> list[str]:
@@ -81,35 +126,36 @@ def _kernel_fits(hw: HardwareConstants, layout: Layout) -> bool:
 
 
 def new_engine(net: Network, hw: HardwareConstants, stim: Stimulus | None = None,
-               backend: str = "auto", record_deliveries: bool = False):
+               backend: str = "auto", record_deliveries: bool = False) -> Engine:
     """Validate and build a simulator over net/hw driven by stim."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend: {backend}")
     if record_deliveries and backend not in ("auto", "python"):
         raise ValueError("delivery recording is only available on the python backend")
-    stim = stim if stim is not None else Stimulus.empty()
+    stim = stim if stim is not None else Stimulus()
     report = validate_network(net, hw)
     if not report.ok:
         raise ValidationError(report)
     check_stimulus(stim, net, hw)
     if backend == "reference":
-        return ReferenceEngine(net, hw, stim)
+        return Engine(backend, net.neuron_names(), ReferenceEngine(net, hw, stim))
 
     layout = build_layout(net, hw, stim)
     if backend == "auto":
         fits = not record_deliveries and compiled.available() and _kernel_fits(hw, layout)
         backend = "compiled" if fits else "python"
     if backend == "python":
-        return PyEngine(layout, record_deliveries=record_deliveries)
+        log = [] if record_deliveries else None
+        return Engine(backend, layout.names, PyEngine(layout, log), log)
     if not compiled.available():
         raise ValueError("compiled backend requested but the kernel cannot be built")
     if not _kernel_fits(hw, layout):
         raise ValueError("compiled backend cannot hold the configured bit widths "
                          "and stimulus in 64-bit integers")
-    return compiled.CompiledEngine(layout)
+    return Engine(backend, layout.names, compiled.CompiledEngine(layout))
 
 
 def new_reference_engine(net: Network, hw: HardwareConstants,
-                         stim: Stimulus | None = None) -> ReferenceEngine:
+                         stim: Stimulus | None = None) -> Engine:
     """new_engine(..., backend="reference"): the naive differential-testing oracle."""
     return new_engine(net, hw, stim, backend="reference")

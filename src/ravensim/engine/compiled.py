@@ -1,4 +1,4 @@
-"""The compiled backend: kernel.c driven through ctypes, with the PyEngine interface.
+"""The compiled backend's cycle core: kernel.c driven through ctypes.
 
 The first use builds kernel.c with ``cc`` into ``_kernel-<sha256>.so`` next
 to the source. The hash of the source in the name means an edited kernel is
@@ -19,7 +19,6 @@ from collections.abc import Sequence
 from itertools import chain
 from pathlib import Path
 
-from .events import CycleReport
 from .layout import Layout
 
 _SOURCE = Path(__file__).with_name("kernel.c")
@@ -95,20 +94,12 @@ def _int64s(*columns: Sequence[int]) -> bytes:
     return struct.pack(f"{len(values)}q", *values)
 
 
-def _address(buf: array) -> int:
-    return buf.buffer_info()[0]
-
-
 class CompiledEngine:
-    backend = "compiled"
+    """The cycle core of the compiled backend, over the kernel's own copy of a layout."""
 
     def __init__(self, layout: Layout):
-        lib = _library()
-        if lib is None:
-            raise RuntimeError("compiled kernel is not built")
-        self._lib = lib
-        self.names = list(layout.names)
-        n = len(self.names)
+        lib = self._lib = _library()  # new_engine has checked that it is available
+        self._n = n = len(layout.names)
         self._n_syn = len(layout.syn_pre)
 
         neurons = _int64s(layout.threshold, layout.standard_resting, layout.refractory_resting,
@@ -124,44 +115,29 @@ class CompiledEngine:
         weakref.finalize(self, lib.rk_free, self._k)
         self._fired = array("q", bytes(8 * n))
         self._charges = array("q", bytes(8 * n))
+        self._buffers = (self._fired.buffer_info()[0], self._charges.buffer_info()[0])
 
-    @property
-    def cycle(self) -> int:
-        return self._lib.rk_read(self._k, None, None, None)
-
-    def _report(self, t: int) -> CycleReport:
-        count = self._lib.rk_step(self._k, _address(self._fired), _address(self._charges))
+    def step(self) -> tuple[array, array]:
+        """The fired indices and the charges, in buffers the next call overwrites."""
+        count = self._lib.rk_step(self._k, *self._buffers)
         if count < 0:
             raise MemoryError("cannot grow the delivery ring")
-        names = self.names
-        fired = tuple([names[i] for i in self._fired[:count]])
-        return CycleReport(t, fired, dict(zip(names, self._charges)))
-
-    def step(self) -> CycleReport:
-        return self._report(self.cycle)
-
-    def run(self, n_cycles: int) -> list[CycleReport]:
-        if n_cycles < 0:
-            raise ValueError("cycle count must be >= 0")
-        start = self.cycle
-        return [self._report(start + c) for c in range(n_cycles)]
+        return self._fired[:count], self._charges
 
     def advance(self, n_cycles: int) -> None:
-        if n_cycles < 0:
-            raise ValueError("cycle count must be >= 0")
         if self._lib.rk_advance(self._k, n_cycles) < 0:
             raise MemoryError("cannot grow the delivery ring")
 
-    def charges(self) -> dict[str, int]:
-        self._lib.rk_read(self._k, _address(self._charges), None, None)
-        return dict(zip(self.names, self._charges))
+    def charges(self) -> list[int]:
+        self._lib.rk_read(self._k, self._buffers[1], None, None)
+        return self._charges.tolist()
 
     def weights(self) -> list[int]:
         weights = array("q", bytes(8 * self._n_syn))
-        self._lib.rk_read(self._k, None, _address(weights), None)
+        self._lib.rk_read(self._k, None, weights.buffer_info()[0], None)
         return weights.tolist()
 
     def phases(self) -> list[tuple[int, int]]:
-        phases = array("q", bytes(16 * len(self.names)))
-        self._lib.rk_read(self._k, None, None, _address(phases))
+        phases = array("q", bytes(16 * self._n))
+        self._lib.rk_read(self._k, None, None, phases.buffer_info()[0])
         return list(zip(phases[0::2], phases[1::2]))

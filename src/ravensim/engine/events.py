@@ -38,10 +38,6 @@ class Stimulus:
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
 
-    @staticmethod
-    def empty() -> "Stimulus":
-        return Stimulus(())
-
 
 @dataclass(frozen=True)
 class CycleReport:

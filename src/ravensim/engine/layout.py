@@ -1,4 +1,4 @@
-"""Flattening of a validated network into dense arrays.
+"""Flattening of a validated network into dense arrays, and the stimulus rules.
 
 Both the pure-Python engine and the compiled kernel run from the same
 flattened layout, so their cycle-by-cycle behaviour matches by
@@ -7,17 +7,17 @@ construction of their inputs. Only the inner loops differ.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
 from ..netmodel import HardwareConstants, Network, signed_range
-from .events import INJECTION, Stimulus
+from .events import INJECTION, Stimulus, StimulusEvent
 
 
 @dataclass
 class Layout:
     names: list[str]
-    index: dict[str, int]
 
     # Per-neuron settings, indexed by neuron.
     threshold: list[int]
@@ -50,20 +50,31 @@ class Layout:
     weight_width: int
 
 
+def stimulus_problem(events: Sequence[StimulusEvent], net: Network,
+                     hw: HardwareConstants) -> tuple[int, str] | None:
+    """The position of the first event that breaks a stimulus rule and the
+    rule it breaks, or None when every event keeps every rule."""
+    injection = {m.name: m.injection for m in net.neurons}
+    lo, hi = signed_range(hw.injection_ports) if hw.injection_ports > 0 else (0, 0)
+    for i, ev in enumerate(events):
+        enabled = injection.get(ev.neuron)
+        if enabled is None:
+            return i, f'unknown neuron "{ev.neuron}"'
+        if ev.kind == INJECTION:
+            if not enabled:
+                return i, f'neuron "{ev.neuron}" does not have injection enabled'
+            if hw.injection_ports == 0:
+                return i, "hardware has no injection ports"
+            if not lo <= ev.value <= hi:
+                return i, f"injection value {ev.value} outside [{lo}, {hi}]"
+    return None
+
+
 def check_stimulus(stim: Stimulus, net: Network, hw: HardwareConstants) -> None:
     """Reject stimulus events that the network or hardware cannot accept."""
-    index = net.neuron_index()
-    lo, hi = signed_range(hw.injection_ports) if hw.injection_ports > 0 else (0, 0)
-    for ev in stim.events:
-        if ev.neuron not in index:
-            raise ValueError(f"stimulus targets unknown neuron {ev.neuron}")
-        if ev.kind == INJECTION:
-            if hw.injection_ports == 0:
-                raise ValueError("charge injection requires hardware injection ports")
-            if not net.neurons[index[ev.neuron]].injection:
-                raise ValueError(f"neuron {ev.neuron} does not have injection enabled")
-            if not lo <= ev.value <= hi:
-                raise ValueError(f"injection value {ev.value} outside [{lo}, {hi}]")
+    problem = stimulus_problem(stim.events, net, hw)
+    if problem is not None:
+        raise ValueError(f"stimulus event #{problem[0]}: {problem[1]}")
 
 
 def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
@@ -86,7 +97,6 @@ def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
 
     return Layout(
         names=net.neuron_names(),
-        index=index,
         threshold=[m.threshold for m in net.neurons],
         standard_resting=[m.standard_resting for m in net.neurons],
         refractory_resting=[m.refractory_resting for m in net.neurons],

@@ -10,15 +10,16 @@ simple on purpose.
 from __future__ import annotations
 
 from ..netmodel import HardwareConstants, Network
-from .events import INJECTION, CycleReport, Stimulus
+from .events import INJECTION, PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD, Stimulus
 
 _STD = "standard"
 _ABS = "absolute"
 _REL = "relative"
+_PHASE_CODES = {_STD: PHASE_STANDARD, _ABS: PHASE_ABSOLUTE, _REL: PHASE_RELATIVE}
 
 
 class ReferenceEngine:
-    backend = "reference"
+    """The cycle core of the reference backend, keyed by neuron name."""
 
     def __init__(self, net: Network, hw: HardwareConstants, stim: Stimulus):
         self.net = net
@@ -33,8 +34,7 @@ class ReferenceEngine:
         self.anchor: dict[str, int | None] = {m.name: None for m in net.neurons}
         self.weight = {j: s.weight for j, s in enumerate(net.synapses)}
         self.last_delivery: dict[int, int | None] = {j: None for j in range(len(net.synapses))}
-        self.history: list[set[str]] = []
-        self.cycle = 0
+        self.history: list[set[str]] = []  # the fire set of every cycle run
         lo = -(1 << (hw.weight_width - 1))
         self.bounds = (lo, -lo - 1)
 
@@ -42,8 +42,8 @@ class ReferenceEngine:
         lo, hi = self.bounds
         return min(max(value, lo), hi)
 
-    def step(self) -> CycleReport:
-        t = self.cycle
+    def step(self) -> tuple[list[int], list[int]]:
+        t = len(self.history)
         fired = [name for name in self.names if self.pending[name]]
         self.history.append(set(fired))
         for name in fired:
@@ -106,7 +106,7 @@ class ReferenceEngine:
                         if s.post == name and j in delivered:
                             self.weight[j] = self._clamped(self.weight[j] + table[k])
 
-        charges = {name: self.acc[name] for name in self.names}
+        charges = [self.acc[name] for name in self.names]
 
         for name in self.names:
             m = self.settings[name]
@@ -128,13 +128,17 @@ class ReferenceEngine:
                     else:
                         self.mode[name] = _STD
 
-        self.cycle = t + 1
-        return CycleReport(t, tuple(fired), charges)
+        return [i for i, name in enumerate(self.names) if name in self.history[t]], charges
 
-    def run(self, n_cycles: int) -> list[CycleReport]:
-        if n_cycles < 0:
-            raise ValueError("cycle count must be >= 0")
-        return [self.step() for _ in range(n_cycles)]
+    def advance(self, n_cycles: int) -> None:
+        for _ in range(n_cycles):
+            self.step()
+
+    def charges(self) -> list[int]:
+        return [self.acc[name] for name in self.names]
 
     def weights(self) -> list[int]:
         return [self.weight[j] for j in range(len(self.net.synapses))]
+
+    def phases(self) -> list[tuple[int, int]]:
+        return [(_PHASE_CODES[self.mode[name]], self.mode_left[name]) for name in self.names]

@@ -68,28 +68,37 @@ def load_case(case_dir: Path | str) -> GoldenCase:
         raise FormatError(f"{case_dir}: no case.json manifest") from None
     except json.JSONDecodeError as e:
         raise FormatError(f"{manifest_path}: {e.msg}") from None
-    hw = load_hardware((case_dir / manifest["hardware"]).read_text())
-    net = load_network((case_dir / manifest["network"]).read_text(), hw)
-    stim = load_stimulus((case_dir / manifest["stimulus"]).read_text(), net, hw)
-    expected = parse_trace_jsonl((case_dir / manifest["expected"]).read_text())
+    try:
+        name, cycles = manifest["name"], int(manifest["cycles"])
+        hw_text, net_text, stim_text, expected_text = (
+            (case_dir / manifest[key]).read_text()
+            for key in ("hardware", "network", "stimulus", "expected"))
+    except KeyError as e:
+        raise FormatError(f"{manifest_path}: missing key \"{e.args[0]}\"") from None
+    except OSError as e:
+        raise FormatError(f"{manifest_path}: cannot read {e.filename}: {e.strerror}") from None
+    hw = load_hardware(hw_text)
+    net = load_network(net_text, hw)
     return GoldenCase(
-        name=manifest["name"],
+        name=name,
         root=case_dir,
         hardware=hw,
         network=net,
-        stimulus=stim,
-        cycles=int(manifest["cycles"]),
-        expected=tuple(expected),
+        stimulus=load_stimulus(stim_text, net, hw),
+        cycles=cycles,
+        expected=tuple(parse_trace_jsonl(expected_text)),
         notes=manifest.get("notes", ""),
     )
 
 
 def discover_cases(fixtures_dir: Path | str | None = None) -> list[GoldenCase]:
     root = Path(fixtures_dir) if fixtures_dir is not None else default_fixtures_dir()
-    cases = []
-    for path in sorted(root.iterdir()):
-        if path.is_dir() and (path / "case.json").exists():
-            cases.append(load_case(path))
+    try:
+        paths = sorted(root.iterdir())
+    except OSError as e:
+        raise FormatError(f"cannot read fixtures directory {root}: {e.strerror}") from None
+    cases = [load_case(path) for path in paths
+             if path.is_dir() and (path / "case.json").exists()]
     if not cases:
         raise FormatError(f"no golden cases found under {root}")
     return cases

@@ -19,13 +19,13 @@ import json
 from typing import Any
 
 from .engine.events import INJECTION, INPUT_SPIKE, CycleReport, Stimulus, StimulusEvent
+from .engine.layout import stimulus_problem
 from .netmodel import (
     HardwareConstants,
     Network,
     NeuronSettings,
     SynapseSettings,
     ValidationError,
-    signed_range,
     validate_network,
 )
 
@@ -224,14 +224,13 @@ def save_network(net: Network) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def load_stimulus(text: str, net: Network, hw: HardwareConstants | None = None) -> Stimulus:
-    """Parse stimulus lines against a network (and hardware, when given).
+def load_stimulus(text: str, net: Network, hw: HardwareConstants) -> Stimulus:
+    """Parse stimulus lines against a network and its hardware.
 
     Events are sorted stably by cycle; line order breaks ties.
     """
-    names = set(net.neuron_names())
-    injection_enabled = {m.name for m in net.neurons if m.injection}
     events: list[StimulusEvent] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -251,24 +250,18 @@ def load_stimulus(text: str, net: Network, hw: HardwareConstants | None = None) 
             raise FormatError(f"{where}: cycle must be an integer") from None
         if cycle < 0:
             raise FormatError(f"{where}: cycle must be >= 0")
-        neuron = parts[2]
-        if neuron not in names:
-            raise FormatError(f"{where}: unknown neuron \"{neuron}\"")
         value = 0
         if kind == INJECTION:
             try:
                 value = int(value_str, 10)
             except ValueError:
                 raise FormatError(f"{where}: injection value must be an integer") from None
-            if neuron not in injection_enabled:
-                raise FormatError(f"{where}: neuron \"{neuron}\" does not have injection enabled")
-            if hw is not None:
-                if hw.injection_ports == 0:
-                    raise FormatError(f"{where}: hardware has no injection ports")
-                lo, hi = signed_range(hw.injection_ports)
-                if not lo <= value <= hi:
-                    raise FormatError(f"{where}: injection value {value} outside [{lo}, {hi}]")
-        events.append(StimulusEvent(cycle=cycle, neuron=neuron, kind=kind, value=value))
+        events.append(StimulusEvent(cycle=cycle, neuron=parts[2], kind=kind, value=value))
+        linenos.append(lineno)
+    problem = stimulus_problem(events, net, hw)
+    if problem is not None:
+        i, rule = problem
+        raise FormatError(f"stimulus line {linenos[i]}: {rule}")
     events.sort(key=lambda ev: ev.cycle)
     return Stimulus(tuple(events))
 

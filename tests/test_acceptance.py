@@ -101,9 +101,11 @@ def test_criterion_4_differential_oracle():
                 first = first or (trial, cycle)
                 break
         else:
-            if fast.weights() != oracle.weights():
-                divergences += 1
-                first = first or (trial, "weights")
+            for state in ("charges", "weights", "phases"):
+                if getattr(fast, state)() != getattr(oracle, state)():
+                    divergences += 1
+                    first = first or (trial, state)
+                    break
     conclude(divergences == 0,
              f"criterion 4: engine vs reference oracle, {trials} random "
              f"networks x {FUZZ_CYCLES} cycles, {divergences} divergences"

@@ -1,4 +1,4 @@
-"""Backend construction, selection and python/compiled equivalence."""
+"""Backend construction, selection, one interface, and cross-backend equivalence."""
 
 from __future__ import annotations
 
@@ -19,13 +19,14 @@ from ravensim import (
     new_reference_engine,
 )
 from ravensim.cli import EXIT_OK, main
-from ravensim.engine import Stimulus, StimulusEvent, compiled
+from ravensim.engine import INJECTION, Engine, Stimulus, StimulusEvent, compiled
 from ravensim.engine.compiled import available as kernel_available
 from ravensim.ioformats import load_stimulus, parse_trace_jsonl, save_hardware, save_network
 
 # The kernel is built on first use wherever a C compiler is on PATH, so only
 # a missing compiler may skip the compiled backend's tests.
 needs_kernel = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc)")
+COMPILED = pytest.param("compiled", marks=needs_kernel)
 
 
 def tiny_setup():
@@ -90,6 +91,23 @@ def test_new_engine_validates():
         new_engine(bad, hw)
     with pytest.raises(ValueError, match="unknown neuron"):
         new_engine(net, hw, Stimulus((StimulusEvent(0, "Z"),)))
+    # The three injection rules on an in-code stimulus: the neuron must
+    # accept injection, the hardware must have injection ports, and the
+    # value must fit them.
+    inject = Stimulus((StimulusEvent(0, "A", INJECTION, 3),))
+    with pytest.raises(ValueError, match="does not have injection enabled"):
+        new_engine(net, hw, inject)
+    injectable = Network((NeuronSettings("A", threshold=1, injection=True),), ())
+    with pytest.raises(ValueError, match="no injection ports"):
+        new_engine(injectable, hw, inject)
+    two_ports = HardwareConstants(
+        accumulator_width=8, threshold_width=4, weight_width=4, max_delay=2,
+        max_leak=2, max_abs_refractory=2, max_rel_refractory=2, ports=2,
+        injection_ports=2)
+    with pytest.raises(ValueError, match=r"injection value 3 outside \[-2, 1\]"):
+        new_engine(injectable, two_ports, inject)
+    fits = Stimulus((StimulusEvent(0, "A", INJECTION, -2),))
+    assert new_engine(injectable, two_ports, fits).run(1)[0].charges == {"A": -2}
     # Backend arguments are rejected before the network is even validated.
     with pytest.raises(ValueError, match="unknown backend"):
         new_engine(bad, hw, stim, backend="gpu")
@@ -126,17 +144,15 @@ def test_delivery_recording_requires_python_backend():
     assert new_engine(net, hw, stim, record_deliveries=True).backend == "python"
 
 
-@needs_kernel
-def test_compiled_matches_python_on_goldens(golden_cases):
+@pytest.mark.parametrize("backend", [COMPILED, "reference"])
+def test_backend_matches_python_on_goldens(backend, golden_cases):
     for case in golden_cases:
-        py = new_engine(case.network, case.hardware, case.stimulus,
-                        backend="python")
-        ck = new_engine(case.network, case.hardware, case.stimulus,
-                        backend="compiled")
-        assert ck.run(case.cycles) == py.run(case.cycles), case.name
-        assert ck.charges() == py.charges()
-        assert ck.weights() == py.weights()
-        assert ck.phases() == py.phases()
+        py = new_engine(case.network, case.hardware, case.stimulus, backend="python")
+        other = new_engine(case.network, case.hardware, case.stimulus, backend=backend)
+        assert other.run(case.cycles) == py.run(case.cycles), case.name
+        assert other.charges() == py.charges(), case.name
+        assert other.weights() == py.weights(), case.name
+        assert other.phases() == py.phases(), case.name
 
 
 @needs_kernel
@@ -153,18 +169,25 @@ def test_compiled_matches_python_on_random_networks():
         assert py.phases() == ck.phases(), f"trial {trial}"
 
 
-@needs_kernel
-def test_compiled_advance_equals_stepping():
-    net, hw, stim = tiny_setup()
-    stepped = new_engine(net, hw, stim, backend="compiled")
+@pytest.mark.parametrize("backend", ["python", COMPILED, "reference"])
+def test_advance_equals_stepping(backend):
+    net, hw, stim = build_setup(8, 2, 2, stdp=True, seed=3)
+    stepped = new_engine(net, hw, stim, backend=backend)
     for _ in range(40):
         stepped.step()
-    advanced = new_engine(net, hw, stim, backend="compiled")
+    advanced = new_engine(net, hw, stim, backend=backend)
     advanced.advance(40)
+    assert type(advanced) is Engine
+    assert advanced.backend == backend
     assert advanced.cycle == stepped.cycle == 40
     assert advanced.charges() == stepped.charges()
     assert advanced.weights() == stepped.weights()
     assert advanced.phases() == stepped.phases()
+    for method in (advanced.run, advanced.advance):
+        with pytest.raises(ValueError, match="cycle count"):
+            method(-1)
+    assert advanced.cycle == 40
+    assert advanced.run(0) == []
 
 
 @needs_kernel

@@ -182,6 +182,40 @@ def test_golden_reports_divergence(tmp_path, cases_by_name, capsys):
     assert "0/1 passed" in out
 
 
+# A fault planted in a copy of one fixture case, and what the error names.
+BROKEN_FIXTURES = {
+    "missing_directory": "cannot read fixtures directory",
+    "no_hardware_key": 'missing key "hardware"',
+    "missing_member": "cannot read",
+}
+
+
+def broken_fixtures(tmp_path, cases_by_name, fault):
+    if fault == "missing_directory":
+        return tmp_path / "no_such_directory"
+    dest = tmp_path / "fixtures" / "network_1_basic"
+    shutil.copytree(cases_by_name["network_1_basic"].root, dest)
+    manifest = json.loads((dest / "case.json").read_text())
+    if fault == "no_hardware_key":
+        del manifest["hardware"]
+    else:
+        manifest["stimulus"] = "no_such_stimulus.txt"
+    (dest / "case.json").write_text(json.dumps(manifest))
+    return dest.parent
+
+
+@pytest.mark.parametrize("fault", sorted(BROKEN_FIXTURES))
+def test_golden_reports_broken_fixtures_in_one_line(fault, tmp_path, cases_by_name, capsys):
+    fixtures = broken_fixtures(tmp_path, cases_by_name, fault)
+    assert main(["golden", "--fixtures", str(fixtures)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and BROKEN_FIXTURES[fault] in err
+    if fault == "missing_member":
+        assert "no_such_stimulus.txt" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.skipif(shutil.which("ravensim") is None,
                     reason="console script not installed")
 def test_console_entry_point():

@@ -189,6 +189,8 @@ def test_load_stimulus_errors():
         load_stimulus("AS zero A", net, hw)
     with pytest.raises(FormatError, match='unknown neuron "Z"'):
         load_stimulus("AS 0 Z", net, hw)
+    with pytest.raises(FormatError, match='line 4: unknown neuron "Z"'):
+        load_stimulus("# comment\n\nAS 0 A\nAS 1 Z\n", net, hw)
     with pytest.raises(FormatError, match="expected"):
         load_stimulus("XX 0 A", net, hw)
     with pytest.raises(FormatError, match="must be >= 0"):
