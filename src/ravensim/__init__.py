@@ -3,13 +3,15 @@
 Networks of integrate-and-fire neurons are programmed onto a hardware
 description (bit widths, ports, delay/leak/refractory limits, STDP table),
 driven by timed external stimuli, and simulated one integration cycle at a
-time. Traces record which neurons fired and every end-of-cycle charge.
+time. Traces record which neurons fired and every end-of-cycle charge,
+column by column.
 """
 
 from .engine import (
     CycleReport,
     Stimulus,
     StimulusEvent,
+    Trace,
     available_backends,
     new_engine,
     new_reference_engine,
@@ -36,6 +38,7 @@ __all__ = [
     "Stimulus",
     "StimulusEvent",
     "SynapseSettings",
+    "Trace",
     "ValidationError",
     "ValidationReport",
     "available_backends",

@@ -8,9 +8,13 @@ otherwise the pure-Python core; "reference" is the naive differential-testing
 oracle. The cores implement identical cycle semantics; the test suite holds
 them equal on every fixture and on randomized networks.
 
-A core mirrors the kernel.c ABI: step() runs one cycle and returns the fired
-neuron indices and every charge as compared, in neuron order; advance(n) runs
-n cycles; charges(), weights() and phases() read the state as lists.
+A core mirrors the kernel.c ABI: run(n, record) runs n cycles and, when
+record is true, returns the three blocks of their Trace: the fired indices of
+every cycle end to end, the fire count of every cycle, and every charge as
+compared, cycle by cycle in neuron order; without record it returns None.
+charges(), weights() and phases() read the state as lists. Engine.run and
+Engine.advance both go through core.run, so a traced run and an untraced one
+execute the same cycle code.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .events import (
     CycleReport,
     Stimulus,
     StimulusEvent,
+    Trace,
 )
 from .layout import Layout, build_layout, check_stimulus
 from .pycore import PyEngine
@@ -44,6 +49,7 @@ __all__ = [
     "Engine",
     "Stimulus",
     "StimulusEvent",
+    "Trace",
     "available_backends",
     "new_engine",
     "new_reference_engine",
@@ -54,35 +60,39 @@ BACKENDS = ("auto", "python", "compiled", "reference")
 _INT64_MAX = (1 << 63) - 1
 
 
+def _check_count(n_cycles: int) -> None:
+    if n_cycles < 0:
+        raise ValueError("cycle count must be >= 0")
+
+
 class Engine:
-    """A simulator over one network: the public state and the cycle reports
-    around the cycle core of one backend. Not thread-safe."""
+    """A simulator over one network: the public state and the traces around
+    the cycle core of one backend. Not thread-safe."""
 
     def __init__(self, backend: str, names: list[str], core,
                  delivery_log: list[tuple[int, int, int]] | None = None):
         self.backend = backend
-        self.names = names
+        self.names = tuple(names)
         self.cycle = 0
         # (scheduled cycle, delivery cycle, synapse index) when recording.
         self.delivery_log = [] if delivery_log is None else delivery_log
         self._core = core
 
     def step(self) -> CycleReport:
-        fired, charges = self._core.step()
-        names, t = self.names, self.cycle
-        self.cycle = t + 1
-        return CycleReport(t, tuple([names[i] for i in fired]), dict(zip(names, charges)))
+        return self.run(1)[0]
 
-    def run(self, n_cycles: int) -> list[CycleReport]:
-        if n_cycles < 0:
-            raise ValueError("cycle count must be >= 0")
-        return [self.step() for _ in range(n_cycles)]
+    def run(self, n_cycles: int) -> Trace:
+        """Run n_cycles and return their trace, numbered from self.cycle."""
+        _check_count(n_cycles)
+        fired, counts, charges = self._core.run(n_cycles, True)
+        start = self.cycle
+        self.cycle = start + n_cycles
+        return Trace(self.names, range(start, self.cycle), fired, counts, charges)
 
     def advance(self, n_cycles: int) -> None:
-        """Run n_cycles without building their reports."""
-        if n_cycles < 0:
-            raise ValueError("cycle count must be >= 0")
-        self._core.advance(n_cycles)
+        """Run n_cycles without recording them."""
+        _check_count(n_cycles)
+        self._core.run(n_cycles, False)
         self.cycle += n_cycles
 
     def charges(self) -> dict[str, int]:

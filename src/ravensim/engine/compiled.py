@@ -75,10 +75,8 @@ def _library():
     lib.rk_new.restype = ptr
     lib.rk_free.argtypes = [ptr]
     lib.rk_free.restype = None
-    lib.rk_step.argtypes = [ptr, ptr, ptr]
-    lib.rk_step.restype = i64
-    lib.rk_advance.argtypes = [ptr, i64]
-    lib.rk_advance.restype = i64
+    lib.rk_run.argtypes = [ptr, i64, ptr, ptr, ptr]
+    lib.rk_run.restype = i64
     lib.rk_read.argtypes = [ptr, ptr, ptr, ptr]
     lib.rk_read.restype = i64
     return lib
@@ -92,6 +90,10 @@ def _int64s(*columns: Sequence[int]) -> bytes:
     """The columns end to end as native int64_t values, for the kernel to copy."""
     values = list(chain.from_iterable(columns))
     return struct.pack(f"{len(values)}q", *values)
+
+
+def _zeros(count: int) -> array:
+    return array("q", [0]) * count
 
 
 class CompiledEngine:
@@ -113,31 +115,33 @@ class CompiledEngine:
         if not self._k:
             raise MemoryError("cannot allocate the kernel state")
         weakref.finalize(self, lib.rk_free, self._k)
-        self._fired = array("q", bytes(8 * n))
-        self._charges = array("q", bytes(8 * n))
-        self._buffers = (self._fired.buffer_info()[0], self._charges.buffer_info()[0])
 
-    def step(self) -> tuple[array, array]:
-        """The fired indices and the charges, in buffers the next call overwrites."""
-        count = self._lib.rk_step(self._k, *self._buffers)
-        if count < 0:
+    def run(self, n_cycles: int, record: bool) -> tuple[array, array, array] | None:
+        """One rk_run call. With record, the fired block has room for every
+        neuron firing in every cycle and is cut to the fires made."""
+        blocks = None
+        if record:
+            size = n_cycles * self._n
+            blocks = (_zeros(size), _zeros(n_cycles), _zeros(size))
+        addresses = [block.buffer_info()[0] for block in blocks] if blocks else [None] * 3
+        fires = self._lib.rk_run(self._k, n_cycles, *addresses)
+        if fires < 0:
             raise MemoryError("cannot grow the delivery ring")
-        return self._fired[:count], self._charges
-
-    def advance(self, n_cycles: int) -> None:
-        if self._lib.rk_advance(self._k, n_cycles) < 0:
-            raise MemoryError("cannot grow the delivery ring")
+        if blocks:
+            del blocks[0][fires:]
+        return blocks
 
     def charges(self) -> list[int]:
-        self._lib.rk_read(self._k, self._buffers[1], None, None)
-        return self._charges.tolist()
+        charges = _zeros(self._n)
+        self._lib.rk_read(self._k, charges.buffer_info()[0], None, None)
+        return charges.tolist()
 
     def weights(self) -> list[int]:
-        weights = array("q", bytes(8 * self._n_syn))
+        weights = _zeros(self._n_syn)
         self._lib.rk_read(self._k, None, weights.buffer_info()[0], None)
         return weights.tolist()
 
     def phases(self) -> list[tuple[int, int]]:
-        phases = array("q", bytes(16 * self._n))
+        phases = _zeros(2 * self._n)
         self._lib.rk_read(self._k, None, None, phases.buffer_info()[0])
         return list(zip(phases[0::2], phases[1::2]))

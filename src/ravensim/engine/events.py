@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import operator
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 INPUT_SPIKE = "spike"
 INJECTION = "inject"
@@ -52,3 +56,130 @@ class CycleReport:
     cycle: int
     fired: tuple[str, ...]
     charges: dict[str, int]
+
+
+def int64_block(values: list[int]) -> array | list[int]:
+    """values as one array('q') block, or the list itself when a value does
+    not fit in 64 bits (possible on the python and reference backends)."""
+    try:
+        return array("q", values)
+    except OverflowError:
+        return values
+
+
+class Trace(Sequence[CycleReport]):
+    """The cycle reports of one run, stored by column.
+
+    names holds the neuron names once. Cycle i of the trace has the number
+    cycles[i] and counts[i] fired neurons, whose indices follow those of the
+    cycles before it in fired, and the charges of every neuron, in names
+    order, at charges[i * n:(i + 1) * n] for n names. fired and counts are
+    array('q') blocks; charges is one too, unless a charge does not fit in
+    64 bits.
+
+    A Trace is a Sequence[CycleReport] that compares equal to a list of equal
+    reports. trace[i] builds the CycleReport of cycle i, with a fresh mutable
+    charges dict, and keeps it, so an edit through trace[i].charges is seen by
+    every later read of the trace. Iteration builds the reports it has not
+    kept and keeps none of them; so does reversed(). rows() reads the columns
+    alone; Trace.of folds kept reports back into columns.
+    """
+
+    __slots__ = ("names", "cycles", "fired", "counts", "charges", "_starts", "_views")
+
+    def __init__(self, names: Sequence[str], cycles: Sequence[int], fired: Sequence[int],
+                 counts: Sequence[int], charges: Sequence[int]):
+        self.names = tuple(names)
+        self.cycles = cycles
+        self.fired = fired
+        self.counts = counts
+        self.charges = charges
+        self._starts: list[int] | None = None  # where each cycle's fired indices begin
+        self._views: dict[int, CycleReport] = {}
+
+    @classmethod
+    def of(cls, reports: Sequence[CycleReport]) -> Trace:
+        """reports as a Trace: a Trace that has kept no reports is returned as
+        it is. Every report must hold a charge for the neurons of the first
+        one, and only for them; the first report's order is the trace's."""
+        if isinstance(reports, Trace) and not reports._views:
+            return reports
+        reports = list(reports)
+        names = tuple(reports[0].charges) if reports else ()
+        index = {name: i for i, name in enumerate(names)}
+        cycles, fired, counts, charges = [], [], [], []
+        for rep in reports:
+            if rep.charges.keys() != index.keys():
+                raise ValueError(f"cycle {rep.cycle}: charges must name the neurons "
+                                 "of the first cycle and no others")
+            missing = next((name for name in rep.fired if name not in index), None)
+            if missing is not None:
+                raise ValueError(f"cycle {rep.cycle}: fired neuron {missing!r} has no charge")
+            cycles.append(rep.cycle)
+            fired += [index[name] for name in rep.fired]
+            counts.append(len(rep.fired))
+            charges += [rep.charges[name] for name in names]
+        return cls(names, cycles, array("q", fired), array("q", counts), int64_block(charges))
+
+    def rows(self) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
+        """(cycle number, fired indices, charges) of every cycle, from the columns."""
+        n, fired, charges = len(self.names), self.fired, self.charges
+        at = 0
+        for i, (cycle, count) in enumerate(zip(self.cycles, self.counts)):
+            yield cycle, fired[at:at + count], charges[i * n:(i + 1) * n]
+            at += count
+
+    def _report(self, cycle: int, fired: Sequence[int], charges: Sequence[int]) -> CycleReport:
+        names = self.names
+        return CycleReport(cycle, tuple([names[j] for j in fired]), dict(zip(names, charges)))
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self) -> Iterator[CycleReport]:
+        views = self._views
+        for i, row in enumerate(self.rows()):
+            view = views.get(i)
+            yield view if view is not None else self._report(*row)
+
+    def __reversed__(self) -> Iterator[CycleReport]:
+        views = self._views
+        for i in range(len(self) - 1, -1, -1):
+            view = views.get(i)
+            yield view if view is not None else self._report(self.cycles[i], *self._cells(i))
+
+    def _cells(self, i: int) -> tuple[Sequence[int], Sequence[int]]:
+        """The fired indices and the charges of cycle i."""
+        if self._starts is None:
+            self._starts = list(accumulate(self.counts, initial=0))
+        n = len(self.names)
+        return self.fired[self._starts[i]:self._starts[i + 1]], self.charges[i * n:(i + 1) * n]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            picked = range(len(self))[key]
+            fired, charges = self.fired[:0], self.charges[:0]
+            for i in picked:
+                cycle_fired, cycle_charges = self._cells(i)
+                fired += cycle_fired
+                charges += cycle_charges
+            part = Trace(self.names, self.cycles[key], fired, self.counts[key], charges)
+            part._views = {k: self._views[i] for k, i in enumerate(picked) if i in self._views}
+            return part
+        i = operator.index(key)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("trace index out of range")
+        view = self._views.get(i)
+        if view is None:
+            view = self._views[i] = self._report(self.cycles[i], *self._cells(i))
+        return view
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Trace, list, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"

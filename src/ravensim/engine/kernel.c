@@ -2,10 +2,14 @@
 
    Plain C99 with no Python headers: compiled.py builds it with cc into a
    shared library and drives it through ctypes. All state is int64_t arrays
-   owned by one rk struct. rk_step runs the same four phases as the
-   pure-Python backend (fire, leak, deliver, settle), so the two backends
-   agree cycle for cycle on every network whose values fit in 64 bits; the
-   caller checks that before choosing this kernel.
+   owned by one rk struct. The exported ABI is rk_new, rk_free, rk_run and
+   rk_read. rk_run(k, n, fired, counts, charges) runs n cycles in one call
+   and, when given caller-owned blocks, records every cycle's fired indices,
+   fire count and charges in them, the same blocks the Python cores fill;
+   with NULL blocks it only advances. Each cycle runs the same four phases
+   as the pure-Python backend (fire, leak, deliver, settle), so the two
+   backends agree cycle for cycle on every network whose values fit in 64
+   bits; the caller checks that before choosing this kernel.
 
    The delivery ring keeps one growable slot per (cycle mod slots). A
    synapse enters a slot at most once before the slot drains, because its
@@ -195,7 +199,7 @@ static void adjust(rk *k, int64_t j, int64_t delta)
    the resting floors, to charges (n slots); either may be NULL. Returns the
    number of neurons that fired, or -1 when an allocation failed, after which
    the state is undefined and k may only be freed. */
-int64_t rk_step(rk *k, int64_t *fired, int64_t *charges)
+static int64_t rk_step(rk *k, int64_t *fired, int64_t *charges)
 {
     const int64_t t = k->cycle, n = k->n, half = k->table_len / 2;
     int64_t i, j, p, x, floor, value, count = 0;
@@ -307,13 +311,24 @@ int64_t rk_step(rk *k, int64_t *fired, int64_t *charges)
     return count;
 }
 
-/* Runs cycles steps without reports. Returns 0, or -1 as rk_step does. */
-int64_t rk_advance(rk *k, int64_t cycles)
+/* Runs cycles steps. With blocks, cycle c writes its fire count to
+   counts[c], its fired indices to fired right after those of the cycles
+   before it, and its charges to charges[c * n .. (c + 1) * n); fired needs
+   room for cycles * n indices, counts for cycles values and charges for
+   cycles * n values. With NULL blocks nothing is recorded. Returns the
+   number of fires in the run, or -1 as rk_step does. */
+int64_t rk_run(rk *k, int64_t cycles, int64_t *fired, int64_t *counts, int64_t *charges)
 {
-    for (; cycles > 0; cycles--)
-        if (rk_step(k, NULL, NULL) < 0)
+    int64_t c, count, total = 0;
+    for (c = 0; c < cycles; c++) {
+        count = rk_step(k, fired ? fired + total : NULL, charges ? charges + c * k->n : NULL);
+        if (count < 0)
             return -1;
-    return 0;
+        if (counts)
+            counts[c] = count;
+        total += count;
+    }
+    return total;
 }
 
 /* Copies the charges (n values), the synapse weights (n_syn values) and the

@@ -17,7 +17,9 @@ locks it down.
 
 from __future__ import annotations
 
-from .events import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD
+from array import array
+
+from .events import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD, int64_block
 from .layout import Layout
 
 
@@ -48,7 +50,17 @@ class PyEngine:
         # Appended (scheduled cycle, delivery cycle, synapse index) when given.
         self.delivery_log = delivery_log
 
-    def step(self) -> tuple[list[int], list[int]]:
+    def run(self, n_cycles: int, record: bool) -> tuple[array, array, array | list] | None:
+        """Run n_cycles; with record, return their fired, count and charge blocks."""
+        blocks = ([], [], []) if record else None
+        for _ in range(n_cycles):
+            self._cycle(blocks)
+        if blocks is None:
+            return None
+        fired, counts, charges = blocks
+        return array("q", fired), array("q", counts), int64_block(charges)
+
+    def _cycle(self, blocks: tuple[list[int], list[int], list[int]] | None) -> None:
         t = self.cycle
         lay = self.lay
         ring = self.ring
@@ -143,8 +155,11 @@ class PyEngine:
                             w = lay.syn_weight[j] + table[k]
                             lay.syn_weight[j] = wlo if w < wlo else (whi if w > whi else w)
 
-        # Reported charges are the compared values, before the floor below.
-        charges = acc[:]
+        # Recorded charges are the compared values, before the floor below.
+        if blocks is not None:
+            blocks[0].extend(fired)
+            blocks[1].append(len(fired))
+            blocks[2].extend(acc)
 
         for i in range(self.n):
             ph = phase[i]
@@ -173,11 +188,6 @@ class PyEngine:
             self.got_delivery[lay.syn_post[j]] = False
 
         self.cycle = t + 1
-        return fired, charges
-
-    def advance(self, n_cycles: int) -> None:
-        for _ in range(n_cycles):
-            self.step()
 
     def charges(self) -> list[int]:
         return self.acc[:]

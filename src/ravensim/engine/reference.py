@@ -9,8 +9,17 @@ simple on purpose.
 
 from __future__ import annotations
 
+from array import array
+
 from ..netmodel import HardwareConstants, Network
-from .events import INJECTION, PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD, Stimulus
+from .events import (
+    INJECTION,
+    PHASE_ABSOLUTE,
+    PHASE_RELATIVE,
+    PHASE_STANDARD,
+    Stimulus,
+    int64_block,
+)
 
 _STD = "standard"
 _ABS = "absolute"
@@ -42,7 +51,18 @@ class ReferenceEngine:
         lo, hi = self.bounds
         return min(max(value, lo), hi)
 
-    def step(self) -> tuple[list[int], list[int]]:
+    def run(self, n_cycles: int, record: bool) -> tuple[array, array, array | list] | None:
+        """Run n_cycles; with record, return their fired, count and charge blocks."""
+        fired, counts, charges = [], [], []
+        for _ in range(n_cycles):
+            cycle_fired, cycle_charges = self._cycle()
+            if record:
+                fired += cycle_fired
+                counts.append(len(cycle_fired))
+                charges += cycle_charges
+        return (array("q", fired), array("q", counts), int64_block(charges)) if record else None
+
+    def _cycle(self) -> tuple[list[int], list[int]]:
         t = len(self.history)
         fired = [name for name in self.names if self.pending[name]]
         self.history.append(set(fired))
@@ -129,10 +149,6 @@ class ReferenceEngine:
                         self.mode[name] = _STD
 
         return [i for i, name in enumerate(self.names) if name in self.history[t]], charges
-
-    def advance(self, n_cycles: int) -> None:
-        for _ in range(n_cycles):
-            self.step()
 
     def charges(self) -> list[int]:
         return [self.acc[name] for name in self.names]

@@ -11,6 +11,7 @@ charges cell by cell.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 from .engine import CycleReport, new_engine
 from .ioformats import (
     FormatError,
+    _require_int,
     load_hardware,
     load_network,
     load_stimulus,
@@ -68,8 +70,11 @@ def load_case(case_dir: Path | str) -> GoldenCase:
         raise FormatError(f"{case_dir}: no case.json manifest") from None
     except json.JSONDecodeError as e:
         raise FormatError(f"{manifest_path}: {e.msg}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: must be a JSON object")
+    cycles = _require_int(manifest, "cycles", str(manifest_path))
     try:
-        name, cycles = manifest["name"], int(manifest["cycles"])
+        name = manifest["name"]
         hw_text, net_text, stim_text, expected_text = (
             (case_dir / manifest[key]).read_text()
             for key in ("hardware", "network", "stimulus", "expected"))
@@ -104,8 +109,8 @@ def discover_cases(fixtures_dir: Path | str | None = None) -> list[GoldenCase]:
     return cases
 
 
-def compare_traces(expected: tuple[CycleReport, ...] | list[CycleReport],
-                   actual: list[CycleReport]) -> list[TraceDiff]:
+def compare_traces(expected: Sequence[CycleReport],
+                   actual: Sequence[CycleReport]) -> list[TraceDiff]:
     """Cell-by-cell diff; ordered by cycle, fire sets before charges."""
     diffs: list[TraceDiff] = []
     for exp, got in zip(expected, actual):

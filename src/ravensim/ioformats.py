@@ -16,9 +16,10 @@ lines, one object per cycle, suitable for machine comparison.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from typing import Any
 
-from .engine.events import INJECTION, INPUT_SPIKE, CycleReport, Stimulus, StimulusEvent
+from .engine.events import INJECTION, INPUT_SPIKE, CycleReport, Stimulus, StimulusEvent, Trace
 from .engine.layout import stimulus_problem
 from .netmodel import (
     HardwareConstants,
@@ -296,23 +297,24 @@ def _table_trace(trace: list[CycleReport]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _jsonl_trace(trace: list[CycleReport]) -> str:
-    lines = []
-    for rep in trace:
-        lines.append(json.dumps({
-            "cycle": rep.cycle,
-            "fired": list(rep.fired),
-            "charges": dict(rep.charges),
-        }))
-    return "\n".join(lines) + ("\n" if lines else "")
+def _jsonl_trace(trace: Trace) -> str:
+    # One %-template per trace, byte for byte what json.dumps writes for the
+    # {"cycle", "fired", "charges"} object of a cycle.
+    quoted = [json.dumps(name) for name in trace.names]
+    line = ('{"cycle": %d, "fired": [%s], "charges": {'
+            + ", ".join(q.replace("%", "%%") + ": %d" for q in quoted) + "}}\n")
+    return "".join([line % (cycle, ", ".join([quoted[i] for i in fired]), *charges)
+                    for cycle, fired, charges in trace.rows()])
 
 
-def format_trace(trace: list[CycleReport], mode: str = "table") -> str:
-    """Render cycle reports as an aligned table or as JSON lines."""
+def format_trace(trace: Sequence[CycleReport], mode: str = "table") -> str:
+    """Render a trace, or a list of cycle reports, as an aligned table or as
+    JSON lines. The JSON lines are written from the columns of Trace.of(trace),
+    so a list of reports must name the same neurons in every cycle."""
     if mode == "table":
         return _table_trace(list(trace))
     if mode == "jsonl":
-        return _jsonl_trace(list(trace))
+        return _jsonl_trace(Trace.of(trace))
     raise ValueError(f"unknown trace mode: {mode}")
 
 

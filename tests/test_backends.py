@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import shutil
+import subprocess
 
 import pytest
 
@@ -45,6 +46,13 @@ def test_python_backend_always_available():
 @needs_kernel
 def test_kernel_builds_wherever_cc_exists():
     assert "compiled" in available_backends()
+
+
+@needs_kernel
+def test_kernel_compiles_without_warnings():
+    flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-fsyntax-only"]
+    proc = subprocess.run(["cc", *flags, str(compiled._SOURCE)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_kernel_build_fails_soft(monkeypatch, tmp_path):
@@ -188,6 +196,26 @@ def test_advance_equals_stepping(backend):
             method(-1)
     assert advanced.cycle == 40
     assert advanced.run(0) == []
+
+
+# The reference engine rescans every synapse per crossing, so it runs fewer cycles.
+TWIN_CYCLES = {"python": 200, "compiled": 1000, "reference": 50}
+
+
+@pytest.mark.parametrize("backend", ["python", COMPILED, "reference"])
+def test_run_equals_stepping_a_twin(backend, golden_cases):
+    setups = [(case.name, case.network, case.hardware, case.stimulus, case.cycles)
+              for case in golden_cases]
+    # 128 neurons with STDP, the bench shape whose delivery ring slots grow.
+    setups.append(("bench", *build_setup(128, 8, 4, stdp=True, seed=2), TWIN_CYCLES[backend]))
+    for name, net, hw, stim, cycles in setups:
+        ran = new_engine(net, hw, stim, backend=backend)
+        twin = new_engine(net, hw, stim, backend=backend)
+        assert ran.run(cycles) == [twin.step() for _ in range(cycles)], name
+        assert ran.cycle == twin.cycle == cycles, name
+        assert ran.charges() == twin.charges(), name
+        assert ran.weights() == twin.weights(), name
+        assert ran.phases() == twin.phases(), name
 
 
 @needs_kernel

@@ -187,6 +187,8 @@ BROKEN_FIXTURES = {
     "missing_directory": "cannot read fixtures directory",
     "no_hardware_key": 'missing key "hardware"',
     "missing_member": "cannot read",
+    "not_an_object": "case.json: must be a JSON object",
+    "null_cycles": 'key "cycles" must be an integer, got None',
 }
 
 
@@ -198,6 +200,10 @@ def broken_fixtures(tmp_path, cases_by_name, fault):
     manifest = json.loads((dest / "case.json").read_text())
     if fault == "no_hardware_key":
         del manifest["hardware"]
+    elif fault == "not_an_object":
+        manifest = [1]
+    elif fault == "null_cycles":
+        manifest["cycles"] = None
     else:
         manifest["stimulus"] = "no_such_stimulus.txt"
     (dest / "case.json").write_text(json.dumps(manifest))

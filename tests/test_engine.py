@@ -7,6 +7,11 @@ the two plasticity branches.
 
 from __future__ import annotations
 
+import shutil
+
+import pytest
+
+from fuzz import build_setup
 from ravensim import (
     HardwareConstants,
     Network,
@@ -14,7 +19,12 @@ from ravensim import (
     SynapseSettings,
     new_engine,
 )
-from ravensim.engine import INJECTION, INPUT_SPIKE, Stimulus, StimulusEvent
+from ravensim.engine import INJECTION, INPUT_SPIKE, Stimulus, StimulusEvent, Trace
+from ravensim.goldens import compare_traces
+from ravensim.ioformats import format_trace, parse_trace_jsonl
+
+EVERY_BACKEND = ["python", "reference", pytest.param("compiled", marks=pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler (cc)"))]
 
 
 def hw(**overrides) -> HardwareConstants:
@@ -263,3 +273,58 @@ def test_same_inputs_same_trace():
     first = new_engine(net, hw(), stim, backend="python").run(30)
     second = new_engine(net, hw(), stim, backend="python").run(30)
     assert first == second
+
+
+def twin_engines(backend: str):
+    net, hw_, stim = build_setup(8, 2, 2, stdp=True, seed=3)
+    return new_engine(net, hw_, stim, backend=backend), new_engine(net, hw_, stim, backend=backend)
+
+
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_trace_is_a_sequence_of_reports(backend):
+    engine, twin = twin_engines(backend)
+    trace = engine.run(12)
+    reports = [twin.step() for _ in range(12)]
+    assert isinstance(trace, Trace) and len(trace) == 12
+    assert any(r.fired for r in reports) and any(not r.fired for r in reports)
+    assert trace == reports and reports == trace and trace == tuple(reports)
+    assert trace != reports[:-1] and trace != reports[::-1]
+    assert list(trace) == reports and list(reversed(trace)) == reports[::-1]
+    assert trace[-1] == reports[11] and trace[-12] == reports[0]
+    for index in (12, -13):
+        with pytest.raises(IndexError):
+            trace[index]
+    for part in (slice(3, 7), slice(-4, None), slice(None, None, -3), slice(20, None)):
+        assert isinstance(trace[part], Trace)
+        assert trace[part] == reports[part]
+    assert trace.names == engine.names
+
+
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_run_after_advance_numbers_cycles_from_engine_cycle(backend):
+    engine, twin = twin_engines(backend)
+    engine.advance(5)
+    twin.run(5)
+    trace = engine.run(4)
+    assert [r.cycle for r in trace] == list(trace.cycles) == [5, 6, 7, 8]
+    assert trace == twin.run(4)
+    assert engine.cycle == 9 and engine.step().cycle == 9
+
+
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_trace_keeps_indexed_reports_and_no_iterated_ones(backend):
+    engine, twin = twin_engines(backend)
+    trace, untouched = engine.run(6), twin.run(6)
+    first, second = list(trace), list(trace)
+    assert first == second and all(a is not b for a, b in zip(first, second))
+    assert all(a is not b for a, b in zip(reversed(trace), reversed(trace)))
+    assert trace[2] is not first[2] and trace[2] is trace[-4]
+
+    name = engine.names[0]
+    trace[-1].charges[name] += 1
+    assert list(trace)[-1].charges[name] == untouched[-1].charges[name] + 1
+    assert trace[3:][-1] is trace[-1]
+    assert trace != untouched and trace[:5] == untouched[:5]
+    assert parse_trace_jsonl(format_trace(trace, "jsonl")) == trace
+    assert [(d.cycle, d.neuron, d.field) for d in compare_traces(untouched, trace)] == [
+        (5, name, "charge")]

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from ravensim import HardwareConstants, Network, NeuronSettings, SynapseSettings
-from ravensim.engine import INJECTION, INPUT_SPIKE, CycleReport, Stimulus, StimulusEvent
+from ravensim import HardwareConstants, Network, NeuronSettings, SynapseSettings, new_engine
+from ravensim.engine import INJECTION, INPUT_SPIKE, CycleReport, Stimulus, StimulusEvent, Trace
 from ravensim.ioformats import (
     FormatError,
     format_trace,
@@ -241,6 +241,71 @@ def test_format_trace_empty():
     assert format_trace([], mode="jsonl") == ""
     with pytest.raises(ValueError, match="unknown trace mode"):
         format_trace(TRACE, mode="csv")
+
+
+def reference_jsonl(reports) -> str:
+    """The row-by-row renderer the columnar one replaced: json.dumps per cycle."""
+    return "".join(json.dumps({"cycle": r.cycle, "fired": list(r.fired),
+                               "charges": dict(r.charges)}) + "\n" for r in reports)
+
+
+# Names json.dumps must escape, %-format directives, and non-ASCII text.
+ODD_NAMES = ('say "hi"', "back\\slash", "100%", "%d %s %%", "Ωmega", "név", "😀")
+
+
+def odd_trace(cycles: int) -> Trace:
+    """A chain of neurons with odd names, kicked every fourth cycle."""
+    net = Network(
+        neurons=tuple(NeuronSettings(name, threshold=1 + i % 3, standard_resting=-i)
+                      for i, name in enumerate(ODD_NAMES)),
+        synapses=tuple(SynapseSettings(a, b, 3, 1) for a, b in zip(ODD_NAMES, ODD_NAMES[1:])),
+        input_spike_amount=5,
+    )
+    hw = HardwareConstants(
+        accumulator_width=8, threshold_width=4, weight_width=4, max_delay=2, max_leak=0,
+        max_abs_refractory=0, max_rel_refractory=0, ports=4, injection_ports=0)
+    stim = Stimulus(tuple(StimulusEvent(c, ODD_NAMES[0]) for c in range(0, cycles, 4)))
+    return new_engine(net, hw, stim, backend="python").run(cycles)
+
+
+def test_columnar_jsonl_matches_json_dumps():
+    trace = odd_trace(12)
+    reports = list(trace)
+    assert any(r.fired for r in reports) and any(not r.fired for r in reports)
+    expected = reference_jsonl(reports)
+    assert format_trace(trace, "jsonl") == format_trace(reports, "jsonl") == expected
+    assert "\\u03a9mega" in expected and '"%d %s %%": ' in expected
+    assert parse_trace_jsonl(expected) == trace
+
+
+def test_table_layout_with_odd_names():
+    trace = odd_trace(3)
+    assert format_trace(trace) == format_trace(list(trace)) == (
+        'cycle | fired    | say "hi" | back\\slash | 100% | %d %s %% | Ωmega | név | 😀\n'
+        "------+----------+----------+------------+------+----------+-------+-----+---\n"
+        "    0 | -        |        5 |         -1 |   -2 |       -3 |    -4 |  -5 | -6\n"
+        '    1 | say "hi" |        0 |         -1 |   -2 |       -3 |    -4 |  -5 | -6\n'
+        "    2 | -        |        0 |          2 |   -2 |       -3 |    -4 |  -5 | -6\n")
+
+
+def test_jsonl_on_empty_quiet_and_wide_traces():
+    assert format_trace(odd_trace(0), "jsonl") == format_trace(odd_trace(0)) == ""
+    quiet = [CycleReport(t, (), {"A": 0, "B": -7}) for t in range(3)]
+    assert format_trace(quiet, "jsonl") == reference_jsonl(quiet)
+    # Charges beyond 64 bits.
+    wide = [CycleReport(123456, ("B",), {"A": 1 << 70, "B": -(1 << 70)}),
+            CycleReport(123457, ("A", "B"), {"A": -1, "B": 5})]
+    assert format_trace(wide, "jsonl") == reference_jsonl(wide)
+    no_neurons = [CycleReport(0, (), {}), CycleReport(1, (), {})]
+    assert format_trace(no_neurons, "jsonl") == reference_jsonl(no_neurons)
+
+
+def test_jsonl_needs_one_neuron_set_per_list():
+    mixed = [CycleReport(0, (), {"A": 0}), CycleReport(1, (), {"A": 0, "B": 1})]
+    with pytest.raises(ValueError, match="cycle 1: charges must name the neurons of the first"):
+        format_trace(mixed, "jsonl")
+    with pytest.raises(ValueError, match="cycle 0: fired neuron 'B' has no charge"):
+        format_trace([CycleReport(0, ("B",), {"A": 0})], "jsonl")
 
 
 def test_parse_trace_jsonl_rejects_malformed_lines():
