@@ -138,6 +138,33 @@ def test_parse_network_rejects_bool_and_float_settings():
         parse_network(json.dumps(doc))
 
 
+def test_parse_network_reports_the_first_error_in_document_order():
+    # Neurons are read before synapses, and each object key by key: unknown
+    # keys first, then the settings in declaration order.
+    doc = dict(NET_DOC, neurons=[{"name": "A", "threshold": 1}, {"name": "B"}],
+               synapses=[{"from": "A"}])
+    with pytest.raises(FormatError, match='^neuron "B": missing key "threshold"$'):
+        parse_network(json.dumps(doc))
+    doc = dict(NET_DOC, neurons=[{"name": "A", "threshold": 1, "leak": 0.5},
+                                 {"name": "", "threshold": 1}])
+    with pytest.raises(FormatError, match=r'^neuron "A": key "leak" must be an integer, got 0\.5$'):
+        parse_network(json.dumps(doc))
+    doc = dict(NET_DOC, neurons=[{"name": "A", "threshold": 1.5, "lek": 1}])
+    with pytest.raises(FormatError, match='^neuron "A": unknown key "lek"$'):
+        parse_network(json.dumps(doc))
+    doc = dict(NET_DOC, neurons=[{"name": "A", "threshold": 1}, 7])
+    with pytest.raises(FormatError, match="^neuron #1: must be an object$"):
+        parse_network(json.dumps(doc))
+    doc = dict(NET_DOC, synapses=[{"from": "A", "to": "B", "weight": 1, "delay": True},
+                                  {"from": "A", "to": 2, "weight": 1}],
+               settings={"stdp": 1})
+    with pytest.raises(FormatError, match='^synapse #0: key "delay" must be an integer, got True$'):
+        parse_network(json.dumps(doc))
+    doc = dict(NET_DOC, synapses=[{"from": "A", "to": "B", "weight": 1, "wait": 1}])
+    with pytest.raises(FormatError, match='^synapse #0: unknown key "wait"$'):
+        parse_network(json.dumps(doc))
+
+
 def test_load_network_validates_against_hardware():
     hw = load_hardware(hw_text())
     bad = dict(NET_DOC, synapses=[{"from": "A", "to": "B", "weight": 2, "delay": 99}])
@@ -201,6 +228,28 @@ def test_load_stimulus_errors():
         load_stimulus("AI 0 In 8", net, hw)  # 4 injection ports: [-8, 7]
     with pytest.raises(FormatError, match="no injection ports"):
         load_stimulus("AI 0 In 1", net, load_hardware(hw_text(injection_ports=0)))
+
+
+def test_load_stimulus_reports_syntax_errors_before_rule_errors():
+    # Every line is read before any event is checked against the network, so
+    # a later syntax error wins over an earlier rule error.
+    net = make_net()
+    hw = load_hardware(hw_text())
+    with pytest.raises(FormatError, match="^stimulus line 3: cycle must be an integer$"):
+        load_stimulus("AS 0 Z\nAI 0 A 99\nAS x A\n", net, hw)
+    with pytest.raises(FormatError, match="^stimulus line 2: injection value must be an integer$"):
+        load_stimulus("AS 0 Z\nAI 0 In 1.5\nAS -1 A\n", net, hw)
+    with pytest.raises(FormatError, match="^stimulus line 2: cycle must be >= 0$"):
+        load_stimulus("AS 0 Z\nAS -1 A\nAS 0\n", net, hw)
+    with pytest.raises(FormatError, match='^stimulus line 1: unknown neuron "Z"$'):
+        load_stimulus("AS 3 Z\nAI 0 A 99\n", net, hw)
+
+
+def test_load_stimulus_accepts_python_integer_spellings():
+    text = "AS +3 A\nAS 007 A\nAS 1_0 A\nAI 0 In +3\nAI 0 In -0_7 # comment\n"
+    stim = load_stimulus(text, make_net(), load_hardware(hw_text()))
+    assert [(ev.cycle, ev.value) for ev in stim.events] == [(0, 3), (0, -7), (3, 0), (7, 0),
+                                                            (10, 0)]
 
 
 def test_save_stimulus_round_trip():

@@ -217,6 +217,57 @@ def test_multiple_violations_all_reported():
     }
 
 
+def test_violations_come_in_entity_order():
+    # Every rule broken by two or more entities, where an entity can break it
+    # twice; the CLI prints the violations in this order.
+    net = Network(
+        neurons=(NeuronSettings("A", threshold=99, standard_resting=40, refractory_resting=-40,
+                                leak=8, abs_refractory=9, rel_refractory=-1),
+                 NeuronSettings("B", threshold=-9, standard_resting=-33, refractory_resting=32,
+                                leak=-1, abs_refractory=-1, rel_refractory=8, injection=True),
+                 NeuronSettings("A", threshold=1, leak=8),
+                 NeuronSettings("B", threshold=1)),
+        synapses=(SynapseSettings("Z", "Y", 40, 20),
+                  SynapseSettings("A", "X", -9, -1),
+                  *[SynapseSettings("B", "A", 1, 0)] * 9,
+                  *[SynapseSettings("A", "B", 1, 0)] * 7),
+        stdp_enabled=True,
+        input_spike_amount=99,
+    )
+    report = validate_network(net, small_hw(accumulator_width=6, injection_ports=2))
+    assert [v.message for v in report.violations] == [
+        "accumulator width 6 is below the minimum 7 for weight width 4, 8 ports, "
+        "2 injection ports",
+        "neuron A: threshold 99 outside [-8, 7] for a 4-bit threshold",
+        "neuron A: standard resting potential 40 outside [-32, 31] for a 6-bit accumulator",
+        "neuron A: refractory resting potential -40 outside [-32, 31] for a 6-bit accumulator",
+        "neuron A: leak 8 outside [0, 7]",
+        "neuron A: absolute refractory 9 outside [0, 7]",
+        "neuron A: relative refractory -1 outside [0, 7]",
+        "neuron B: threshold -9 outside [-8, 7] for a 4-bit threshold",
+        "neuron B: standard resting potential -33 outside [-32, 31] for a 6-bit accumulator",
+        "neuron B: refractory resting potential 32 outside [-32, 31] for a 6-bit accumulator",
+        "neuron B: leak -1 outside [0, 7]",
+        "neuron B: absolute refractory -1 outside [0, 7]",
+        "neuron B: relative refractory 8 outside [0, 7]",
+        "neuron name A declared more than once",
+        "neuron A: leak 8 outside [0, 7]",
+        "neuron name B declared more than once",
+        "synapse Z->Y: no neuron named Z",
+        "synapse Z->Y: no neuron named Y",
+        "synapse Z->Y: weight 40 outside [-8, 7] for a 4-bit weight",
+        "synapse Z->Y: delay 20 outside [0, 8]",
+        "synapse A->X: no neuron named X",
+        "synapse A->X: weight -9 outside [-8, 7] for a 4-bit weight",
+        "synapse A->X: delay -1 outside [0, 8]",
+        "neuron A: 9 incoming synapses exceed the 8 available ports",
+        "neuron B: 7 incoming synapses exceed the 6 available ports",
+        "neuron A: 9 incoming synapses exceed the 8 available ports",
+        "stdp is enabled but the hardware adjustment table is empty",
+        "input spike amount 99 outside [-32, 31]",
+    ]
+
+
 def test_resource_report_contents():
     text = resource_report(two_neuron_net(), small_hw())
     lines = text.splitlines()
