@@ -2,6 +2,8 @@
 
 new_engine validates the network and the stimulus, then builds one Engine
 class around the cycle core its backend= argument names (one of BACKENDS).
+A stimulus that load_stimulus read for the very same network and hardware
+objects has been checked already and is not checked again.
 "auto" picks the compiled kernel when it can be built here, every value it
 would hold fits its 64-bit arithmetic and no delivery log is asked for,
 otherwise the pure-Python core; "reference" is the naive differential-testing
@@ -34,7 +36,7 @@ from .events import (
     StimulusEvent,
     Trace,
 )
-from .layout import Layout, build_layout, check_stimulus
+from .layout import Layout, build_layout, check_stimulus, is_checked
 from .pycore import PyEngine
 from .reference import ReferenceEngine
 
@@ -146,7 +148,8 @@ def new_engine(net: Network, hw: HardwareConstants, stim: Stimulus | None = None
     report = validate_network(net, hw)
     if not report.ok:
         raise ValidationError(report)
-    check_stimulus(stim, net, hw)
+    if not is_checked(stim, net, hw):
+        check_stimulus(stim, net, hw)
     if backend == "reference":
         return Engine(backend, net.neuron_names(), ReferenceEngine(net, hw, stim))
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import operator
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+
+from ..columns import Columns
 
 INPUT_SPIKE = "spike"
 INJECTION = "inject"
@@ -33,14 +35,42 @@ class StimulusEvent:
             raise ValueError(f"unknown stimulus kind: {self.kind}")
 
 
+class Events(Columns[StimulusEvent]):
+    """The events of a Stimulus, one column per StimulusEvent field."""
+
+    __slots__ = ("cycle", "neuron", "kind", "value")
+    record = StimulusEvent
+
+    def __init__(self, cycle: Iterable[int], neuron: Iterable[str], kind: Iterable[str],
+                 value: Iterable[int]):
+        super().__init__(cycle, neuron, kind, value)
+        if self.cycle and min(self.cycle) < 0:
+            raise ValueError("stimulus cycle must be >= 0")
+        if not {INPUT_SPIKE, INJECTION}.issuperset(self.kind):
+            kind = next(k for k in self.kind if k not in (INPUT_SPIKE, INJECTION))
+            raise ValueError(f"unknown stimulus kind: {kind}")
+
+    def by_cycle(self) -> Events:
+        """The events stably sorted by cycle; self when they already are."""
+        cycle = self.cycle
+        if not any(map(operator.gt, cycle, cycle[1:])):
+            return self
+        order = sorted(range(len(cycle)), key=cycle.__getitem__)
+        return Events(*([column[i] for i in order] for column in self.columns()))
+
+
 @dataclass(frozen=True)
 class Stimulus:
-    """An ordered collection of stimulus events."""
+    """An ordered collection of stimulus events.
 
-    events: tuple[StimulusEvent, ...] = ()
+    events takes any sequence of StimulusEvent and keeps it by column
+    (Events); reading an element builds its StimulusEvent.
+    """
+
+    events: Sequence[StimulusEvent] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "events", Events.of(self.events))
 
 
 @dataclass(frozen=True)

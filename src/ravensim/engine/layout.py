@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 
 from ..netmodel import HardwareConstants, Network, signed_range
-from .events import INJECTION, Stimulus, StimulusEvent
+from .events import INJECTION, Events, Stimulus
 
 
 @dataclass
@@ -20,22 +19,19 @@ class Layout:
     names: list[str]
 
     # Per-neuron settings, indexed by neuron.
-    threshold: list[int]
-    standard_resting: list[int]
-    refractory_resting: list[int]
-    abs_refractory: list[int]
-    rel_refractory: list[int]
-    leak: list[int]
+    threshold: Sequence[int]
+    standard_resting: Sequence[int]
+    refractory_resting: Sequence[int]
+    abs_refractory: Sequence[int]
+    rel_refractory: Sequence[int]
+    leak: Sequence[int]
 
-    # Per-synapse settings, indexed by synapse declaration order.
+    # Per-synapse settings, indexed by synapse declaration order. syn_weight
+    # is the layout's own list: the python core adjusts it in place.
     syn_pre: list[int]
     syn_post: list[int]
     syn_weight: list[int]
-    syn_delay: list[int]
-
-    # Adjacency, in declaration order.
-    out_synapses: list[list[int]]
-    pre_synapses: list[list[int]]
+    syn_delay: Sequence[int]
 
     # Stimulus events as columns, stably sorted by cycle: the cycle, the
     # target neuron, and the charge the event adds (the input spike amount
@@ -50,23 +46,35 @@ class Layout:
     weight_width: int
 
 
-def stimulus_problem(events: Sequence[StimulusEvent], net: Network,
+def stimulus_problem(events: Events, net: Network,
                      hw: HardwareConstants) -> tuple[int, str] | None:
     """The position of the first event that breaks a stimulus rule and the
-    rule it breaks, or None when every event keeps every rule."""
-    injection = {m.name: m.injection for m in net.neurons}
+    rule it breaks, or None when every event keeps every rule.
+
+    The rules are checked on whole columns; the events are walked only to
+    find the first one that breaks a rule."""
+    injection = dict(zip(net.neurons.name, net.neurons.injection))
     lo, hi = signed_range(hw.injection_ports) if hw.injection_ports > 0 else (0, 0)
-    for i, ev in enumerate(events):
-        enabled = injection.get(ev.neuron)
+    if injection.keys() >= set(events.neuron):
+        if INJECTION not in events.kind:
+            return None
+        injected = [(neuron, value) for neuron, kind, value
+                    in zip(events.neuron, events.kind, events.value) if kind == INJECTION]
+        values = [value for _, value in injected]
+        if (hw.injection_ports > 0 and all(injection[neuron] for neuron, _ in injected)
+                and lo <= min(values) and max(values) <= hi):
+            return None
+    for i, (neuron, kind, value) in enumerate(zip(events.neuron, events.kind, events.value)):
+        enabled = injection.get(neuron)
         if enabled is None:
-            return i, f'unknown neuron "{ev.neuron}"'
-        if ev.kind == INJECTION:
+            return i, f'unknown neuron "{neuron}"'
+        if kind == INJECTION:
             if not enabled:
-                return i, f'neuron "{ev.neuron}" does not have injection enabled'
+                return i, f'neuron "{neuron}" does not have injection enabled'
             if hw.injection_ports == 0:
                 return i, "hardware has no injection ports"
-            if not lo <= ev.value <= hi:
-                return i, f"injection value {ev.value} outside [{lo}, {hi}]"
+            if not lo <= value <= hi:
+                return i, f"injection value {value} outside [{lo}, {hi}]"
     return None
 
 
@@ -77,41 +85,43 @@ def check_stimulus(stim: Stimulus, net: Network, hw: HardwareConstants) -> None:
         raise ValueError(f"stimulus event #{problem[0]}: {problem[1]}")
 
 
+def mark_checked(stim: Stimulus, net: Network, hw: HardwareConstants) -> Stimulus:
+    """stim, noted as keeping every stimulus rule for these very net and hw
+    objects. All three are immutable, so the note stays true."""
+    object.__setattr__(stim, "_checked_for", (net, hw))
+    return stim
+
+
+def is_checked(stim: Stimulus, net: Network, hw: HardwareConstants) -> bool:
+    """Whether mark_checked noted stim for these very net and hw objects."""
+    checked = stim.__dict__.get("_checked_for")
+    return checked is not None and checked[0] is net and checked[1] is hw
+
+
 def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
     index = net.neuron_index()
-    n = len(net.neurons)
-    out_synapses: list[list[int]] = [[] for _ in range(n)]
-    pre_synapses: list[list[int]] = [[] for _ in range(n)]
-    syn_pre, syn_post, syn_weight, syn_delay = [], [], [], []
-    for j, s in enumerate(net.synapses):
-        p, q = index[s.pre], index[s.post]
-        syn_pre.append(p)
-        syn_post.append(q)
-        syn_weight.append(s.weight)
-        syn_delay.append(s.delay)
-        out_synapses[p].append(j)
-        pre_synapses[q].append(j)
-
-    events = sorted(stim.events, key=attrgetter("cycle"))
+    neurons, synapses, events = net.neurons, net.synapses, stim.events
+    ev_cycle, ev_neuron, ev_kind, ev_value = events.by_cycle().columns()
     amount = net.input_spike_amount
 
+    # The network's columns are immutable tuples and are shared; syn_weight
+    # is copied, since the python core adjusts it in place.
     return Layout(
-        names=net.neuron_names(),
-        threshold=[m.threshold for m in net.neurons],
-        standard_resting=[m.standard_resting for m in net.neurons],
-        refractory_resting=[m.refractory_resting for m in net.neurons],
-        abs_refractory=[m.abs_refractory for m in net.neurons],
-        rel_refractory=[m.rel_refractory for m in net.neurons],
-        leak=[m.leak for m in net.neurons],
-        syn_pre=syn_pre,
-        syn_post=syn_post,
-        syn_weight=syn_weight,
-        syn_delay=syn_delay,
-        out_synapses=out_synapses,
-        pre_synapses=pre_synapses,
-        ev_cycle=[ev.cycle for ev in events],
-        ev_neuron=[index[ev.neuron] for ev in events],
-        ev_value=[ev.value if ev.kind == INJECTION else amount for ev in events],
+        names=list(neurons.name),
+        threshold=neurons.threshold,
+        standard_resting=neurons.standard_resting,
+        refractory_resting=neurons.refractory_resting,
+        abs_refractory=neurons.abs_refractory,
+        rel_refractory=neurons.rel_refractory,
+        leak=neurons.leak,
+        syn_pre=list(map(index.__getitem__, synapses.pre)),
+        syn_post=list(map(index.__getitem__, synapses.post)),
+        syn_weight=list(synapses.weight),
+        syn_delay=synapses.delay,
+        ev_cycle=list(ev_cycle),
+        ev_neuron=list(map(index.__getitem__, ev_neuron)),
+        ev_value=[value if kind == INJECTION else amount
+                  for kind, value in zip(ev_kind, ev_value)],
         ring_slots=hw.max_delay + 1,
         stdp_enabled=net.stdp_enabled,
         stdp_table=tuple(hw.stdp_table),

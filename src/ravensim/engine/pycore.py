@@ -34,6 +34,13 @@ class PyEngine:
         self.weight_lo = -(1 << (layout.weight_width - 1))
         self.weight_hi = (1 << (layout.weight_width - 1)) - 1
         self.ring: list[list[int]] = [[] for _ in range(layout.ring_slots)]
+        # Adjacency in declaration order: the synapses leaving and entering
+        # each neuron (the kernel builds the same lists as CSR blocks).
+        self.out_synapses: list[list[int]] = [[] for _ in range(n)]
+        self.pre_synapses: list[list[int]] = [[] for _ in range(n)]
+        for j, (p, q) in enumerate(zip(layout.syn_pre, layout.syn_post)):
+            self.out_synapses[p].append(j)
+            self.pre_synapses[q].append(j)
         self.ev_cursor = 0
 
         self.acc = list(layout.standard_resting)
@@ -74,7 +81,7 @@ class PyEngine:
             if not self.pending[i]:
                 continue
             fired.append(i)
-            for j in lay.out_synapses[i]:
+            for j in self.out_synapses[i]:
                 ring[(t + lay.syn_delay[j]) % slots].append(j)
             if lay.rel_refractory[i] > 0:
                 acc[i] = lay.refractory_resting[i]
@@ -138,7 +145,7 @@ class PyEngine:
             if acc[i] > lay.threshold[i]:
                 self.pending[i] = True
                 if stdp:
-                    for j in lay.pre_synapses[i]:
+                    for j in self.pre_synapses[i]:
                         last = self.syn_last_delivery[j]
                         if last is None:
                             continue
@@ -150,7 +157,7 @@ class PyEngine:
             elif stdp and self.got_delivery[i] and self.last_exceed[i] is not None:
                 k = half + (t - self.last_exceed[i])
                 if k < tsize:
-                    for j in lay.pre_synapses[i]:
+                    for j in self.pre_synapses[i]:
                         if self.syn_delivered[j]:
                             w = lay.syn_weight[j] + table[k]
                             lay.syn_weight[j] = wlo if w < wlo else (whi if w > whi else w)

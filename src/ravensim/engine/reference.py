@@ -33,6 +33,7 @@ class ReferenceEngine:
     def __init__(self, net: Network, hw: HardwareConstants, stim: Stimulus):
         self.net = net
         self.hw = hw
+        self.synapses = tuple(net.synapses)  # settings records, built once
         self.events = list(stim.events)
         self.names = [m.name for m in net.neurons]
         self.settings = {m.name: m for m in net.neurons}
@@ -89,7 +90,7 @@ class ReferenceEngine:
                 self.acc[name] = max(self.acc[name] - m.leak, floor)
 
         delivered: set[int] = set()
-        for j, s in enumerate(self.net.synapses):
+        for j, s in enumerate(self.synapses):
             born = t - s.delay
             if born < 0 or s.pre not in self.history[born]:
                 continue
@@ -112,7 +113,7 @@ class ReferenceEngine:
             if self.acc[name] > self.settings[name].threshold:
                 self.pending[name] = True
                 if plastic:
-                    for j, s in enumerate(self.net.synapses):
+                    for j, s in enumerate(self.synapses):
                         if s.post != name or self.last_delivery[j] is None:
                             continue
                         k = tsize // 2 - (t - self.last_delivery[j])
@@ -122,7 +123,7 @@ class ReferenceEngine:
             elif plastic and self.anchor[name] is not None:
                 k = tsize // 2 + (t - self.anchor[name])
                 if k < tsize:
-                    for j, s in enumerate(self.net.synapses):
+                    for j, s in enumerate(self.synapses):
                         if s.post == name and j in delivered:
                             self.weight[j] = self._clamped(self.weight[j] + table[k])
 
@@ -154,7 +155,7 @@ class ReferenceEngine:
         return [self.acc[name] for name in self.names]
 
     def weights(self) -> list[int]:
-        return [self.weight[j] for j in range(len(self.net.synapses))]
+        return [self.weight[j] for j in range(len(self.synapses))]
 
     def phases(self) -> list[tuple[int, int]]:
         return [(_PHASE_CODES[self.mode[name]], self.mode_left[name]) for name in self.names]

@@ -16,16 +16,18 @@ lines, one object per cycle, suitable for machine comparison.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any
 
-from .engine.events import INJECTION, INPUT_SPIKE, CycleReport, Stimulus, StimulusEvent, Trace
-from .engine.layout import stimulus_problem
+from .engine.events import INJECTION, INPUT_SPIKE, CycleReport, Events, Stimulus, Trace
+from .engine.layout import mark_checked, stimulus_problem
 from .netmodel import (
     HardwareConstants,
     Network,
-    NeuronSettings,
-    SynapseSettings,
+    Neurons,
+    Synapses,
     ValidationError,
     validate_network,
 )
@@ -68,7 +70,7 @@ def _optional_bool(obj: dict, key: str, where: str, default: bool) -> bool:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
+def _reject_unknown(obj: dict, allowed: Container[str], where: str) -> None:
     for key in obj:
         if key not in allowed:
             raise FormatError(f"{where}: unknown key \"{key}\"")
@@ -126,14 +128,86 @@ def save_hardware(hw: HardwareConstants) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-_NEURON_KEYS = {"name", "threshold", "standard_resting", "refractory_resting",
-                "abs_refractory", "rel_refractory", "leak", "injection"}
-_SYNAPSE_KEYS = {"from", "to", "weight", "delay"}
 _SETTINGS_KEYS = {"stdp", "input_spike_amount"}
+
+# The JSON key, default (None when required) and type of every column of the
+# neuron and synapse objects, in the field order of Neurons and Synapses.
+_NEURON_COLUMNS = (("name", None, str), ("threshold", None, int),
+                   ("standard_resting", 0, int), ("refractory_resting", 0, int),
+                   ("abs_refractory", 0, int), ("rel_refractory", 0, int),
+                   ("leak", 0, int), ("injection", False, bool))
+_SYNAPSE_COLUMNS = (("from", None, str), ("to", None, str), ("weight", None, int),
+                    ("delay", 0, int))
+_NEURON_KEYS = tuple(key for key, _, _ in _NEURON_COLUMNS)
+_SYNAPSE_KEYS = tuple(key for key, _, _ in _SYNAPSE_COLUMNS)
+
+
+def _columns(objs: list, spec: tuple) -> list[list] | None:
+    """The columns spec names, read from a list of JSON objects; None when an
+    object is not a well-formed entity, which the row-by-row check reports."""
+    keys = {key for key, _, _ in spec}
+    if not {dict}.issuperset(map(type, objs)) or not keys.issuperset(chain.from_iterable(objs)):
+        return None
+    columns = []
+    for key, default, kind in spec:
+        column = list(map(dict.get, objs, repeat(key), repeat(default)))
+        if not {kind}.issuperset(map(type, column)):
+            return None
+        columns.append(column)
+    return columns
+
+
+def _neuron_rows(objs: list) -> list[tuple]:
+    """The neuron objects in order as settings rows; raises the first error."""
+    rows = []
+    for i, raw in enumerate(objs):
+        if not isinstance(raw, dict):
+            raise FormatError(f"neuron #{i}: must be an object")
+        name = raw.get("name")
+        if not isinstance(name, str) or not name:
+            raise FormatError(f"neuron #{i}: missing or empty \"name\"")
+        where = f"neuron \"{name}\""
+        _reject_unknown(raw, _NEURON_KEYS, where)
+        rows.append((
+            name,
+            _require_int(raw, "threshold", where),
+            _optional_int(raw, "standard_resting", where, 0),
+            _optional_int(raw, "refractory_resting", where, 0),
+            _optional_int(raw, "abs_refractory", where, 0),
+            _optional_int(raw, "rel_refractory", where, 0),
+            _optional_int(raw, "leak", where, 0),
+            _optional_bool(raw, "injection", where, False),
+        ))
+    return rows
+
+
+def _synapse_rows(objs: list) -> list[tuple]:
+    """The synapse objects in order as settings rows; raises the first error."""
+    rows = []
+    for i, raw in enumerate(objs):
+        if not isinstance(raw, dict):
+            raise FormatError(f"synapse #{i}: must be an object")
+        where = f"synapse #{i}"
+        _reject_unknown(raw, _SYNAPSE_KEYS, where)
+        pre = raw.get("from")
+        post = raw.get("to")
+        if not isinstance(pre, str) or not isinstance(post, str):
+            raise FormatError(f"{where}: \"from\" and \"to\" must be neuron names")
+        rows.append((
+            pre,
+            post,
+            _require_int(raw, "weight", where),
+            _optional_int(raw, "delay", where, 0),
+        ))
+    return rows
 
 
 def parse_network(text: str) -> Network:
-    """Parse a network JSON document without hardware validation."""
+    """Parse a network document without hardware validation.
+
+    The neuron and synapse objects are read straight into columns. Only a
+    document with a malformed entity is read object by object, to report
+    its first error in document order."""
     obj = _parse_json(text)
     if not isinstance(obj, dict):
         raise FormatError("network file: top level must be a JSON object")
@@ -143,42 +217,12 @@ def parse_network(text: str) -> Network:
         if key not in obj or not isinstance(obj[key], list):
             raise FormatError(f"network file: \"{key}\" must be an array")
 
-    neurons = []
-    for i, raw in enumerate(obj["neurons"]):
-        if not isinstance(raw, dict):
-            raise FormatError(f"neuron #{i}: must be an object")
-        name = raw.get("name")
-        if not isinstance(name, str) or not name:
-            raise FormatError(f"neuron #{i}: missing or empty \"name\"")
-        where = f"neuron \"{name}\""
-        _reject_unknown(raw, _NEURON_KEYS, where)
-        neurons.append(NeuronSettings(
-            name=name,
-            threshold=_require_int(raw, "threshold", where),
-            standard_resting=_optional_int(raw, "standard_resting", where, 0),
-            refractory_resting=_optional_int(raw, "refractory_resting", where, 0),
-            abs_refractory=_optional_int(raw, "abs_refractory", where, 0),
-            rel_refractory=_optional_int(raw, "rel_refractory", where, 0),
-            leak=_optional_int(raw, "leak", where, 0),
-            injection=_optional_bool(raw, "injection", where, False),
-        ))
-
-    synapses = []
-    for i, raw in enumerate(obj["synapses"]):
-        if not isinstance(raw, dict):
-            raise FormatError(f"synapse #{i}: must be an object")
-        where = f"synapse #{i}"
-        _reject_unknown(raw, _SYNAPSE_KEYS, where)
-        pre = raw.get("from")
-        post = raw.get("to")
-        if not isinstance(pre, str) or not isinstance(post, str):
-            raise FormatError(f"{where}: \"from\" and \"to\" must be neuron names")
-        synapses.append(SynapseSettings(
-            pre=pre,
-            post=post,
-            weight=_require_int(raw, "weight", where),
-            delay=_optional_int(raw, "delay", where, 0),
-        ))
+    neurons = _columns(obj["neurons"], _NEURON_COLUMNS)
+    if neurons is None or "" in neurons[0]:
+        neurons = _transpose(_neuron_rows(obj["neurons"]), len(_NEURON_COLUMNS))
+    synapses = _columns(obj["synapses"], _SYNAPSE_COLUMNS)
+    if synapses is None:
+        synapses = _transpose(_synapse_rows(obj["synapses"]), len(_SYNAPSE_COLUMNS))
 
     settings = obj.get("settings", {})
     if not isinstance(settings, dict):
@@ -187,8 +231,13 @@ def parse_network(text: str) -> Network:
     stdp = _optional_bool(settings, "stdp", "settings", False)
     amount = _optional_int(settings, "input_spike_amount", "settings", 16)
 
-    return Network(neurons=tuple(neurons), synapses=tuple(synapses),
+    return Network(neurons=Neurons(*neurons), synapses=Synapses(*synapses),
                    stdp_enabled=stdp, input_spike_amount=amount)
+
+
+def _transpose(rows: list[tuple], width: int) -> list:
+    """Rows of width fields as width columns."""
+    return list(zip(*rows)) if rows else [()] * width
 
 
 def load_network(text: str, hw: HardwareConstants) -> Network:
@@ -203,36 +252,18 @@ def load_network(text: str, hw: HardwareConstants) -> Network:
 def save_network(net: Network) -> str:
     obj = {
         "format": FORMAT_VERSION,
-        "neurons": [
-            {
-                "name": m.name,
-                "threshold": m.threshold,
-                "standard_resting": m.standard_resting,
-                "refractory_resting": m.refractory_resting,
-                "abs_refractory": m.abs_refractory,
-                "rel_refractory": m.rel_refractory,
-                "leak": m.leak,
-                "injection": m.injection,
-            }
-            for m in net.neurons
-        ],
-        "synapses": [
-            {"from": s.pre, "to": s.post, "weight": s.weight, "delay": s.delay}
-            for s in net.synapses
-        ],
+        "neurons": [dict(zip(_NEURON_KEYS, row)) for row in zip(*net.neurons.columns())],
+        "synapses": [dict(zip(_SYNAPSE_KEYS, row)) for row in zip(*net.synapses.columns())],
         "settings": {"stdp": net.stdp_enabled, "input_spike_amount": net.input_spike_amount},
     }
     return json.dumps(obj, indent=2) + "\n"
 
 
-def load_stimulus(text: str, net: Network, hw: HardwareConstants) -> Stimulus:
-    """Parse stimulus lines against a network and its hardware.
-
-    Events are sorted stably by cycle; line order breaks ties.
-    """
-    events: list[StimulusEvent] = []
-    linenos: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+def _stimulus_rows(lines: list[str]) -> list[tuple[int, str, str, int]]:
+    """The (cycle, neuron, kind, value) row of every event line, read line by
+    line; raises the first syntax error."""
+    rows = []
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -257,14 +288,56 @@ def load_stimulus(text: str, net: Network, hw: HardwareConstants) -> Stimulus:
                 value = int(value_str, 10)
             except ValueError:
                 raise FormatError(f"{where}: injection value must be an integer") from None
-        events.append(StimulusEvent(cycle=cycle, neuron=parts[2], kind=kind, value=value))
-        linenos.append(lineno)
+        rows.append((cycle, parts[2], kind, value))
+    return rows
+
+
+def _stimulus_columns(text: str, lines: list[str]) -> list[list] | None:
+    """The cycle, neuron, kind and value columns of the event lines of text,
+    read a column at a time; None when a line may be malformed, which
+    _stimulus_rows reports."""
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = list(filter(None, map(str.split, lines)))
+    shapes = set(zip(map(itemgetter(0), rows), map(len, rows)))
+    if not shapes <= {("AS", 3), ("AI", 4)}:
+        return None
+    try:
+        cycles = list(map(int, map(itemgetter(1), rows)))
+        if ("AI", 4) in shapes:
+            kinds = [INPUT_SPIKE if len(parts) == 3 else INJECTION for parts in rows]
+            values = [0 if len(parts) == 3 else int(parts[3]) for parts in rows]
+        else:
+            kinds, values = [INPUT_SPIKE] * len(rows), [0] * len(rows)
+    except ValueError:
+        return None
+    if cycles and min(cycles) < 0:
+        return None
+    return [cycles, list(map(itemgetter(2), rows)), kinds, values]
+
+
+def load_stimulus(text: str, net: Network, hw: HardwareConstants) -> Stimulus:
+    """Parse stimulus lines against a network and its hardware.
+
+    Every line is read before any event is checked against the network, so
+    the first syntax error wins over an earlier rule error. Events are
+    sorted stably by cycle; line order breaks ties. The lines are read
+    straight into columns; only a text with a malformed line is read line
+    by line, to report its first error. The stimulus returned is marked as
+    checked for net and hw, so new_engine does not check it again.
+    """
+    lines = text.splitlines()
+    columns = _stimulus_columns(text, lines)
+    if columns is None:
+        columns = _transpose(_stimulus_rows(lines), 4)
+    events = Events(*columns)
     problem = stimulus_problem(events, net, hw)
     if problem is not None:
         i, rule = problem
+        linenos = [lineno for lineno, line in enumerate(lines, 1)
+                   if line.split("#", 1)[0].strip()]
         raise FormatError(f"stimulus line {linenos[i]}: {rule}")
-    events.sort(key=lambda ev: ev.cycle)
-    return Stimulus(tuple(events))
+    return mark_checked(Stimulus(events.by_cycle()), net, hw)
 
 
 def save_stimulus(stim: Stimulus) -> str:

@@ -12,7 +12,11 @@ and rule that failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+
+from .columns import Columns
 
 
 def signed_range(bits: int) -> tuple[int, int]:
@@ -104,28 +108,45 @@ class SynapseSettings:
     delay: int = 0
 
 
+class Neurons(Columns[NeuronSettings]):
+    """The neurons of a Network, one column per NeuronSettings field."""
+
+    __slots__ = ("name", "threshold", "standard_resting", "refractory_resting",
+                 "abs_refractory", "rel_refractory", "leak", "injection")
+    record = NeuronSettings
+
+
+class Synapses(Columns[SynapseSettings]):
+    """The synapses of a Network, one column per SynapseSettings field."""
+
+    __slots__ = ("pre", "post", "weight", "delay")
+    record = SynapseSettings
+
+
 @dataclass(frozen=True)
 class Network:
     """A programmed network: neurons, synapses and overall settings.
 
-    Immutable. Engines copy the synapse weights into their own mutable
+    Immutable. neurons and synapses take any sequence of settings records
+    and keep them by column (Neurons, Synapses); reading an element builds
+    its record. Engines copy the synapse weights into their own mutable
     state, so a Network can be shared between concurrent simulations.
     """
 
-    neurons: tuple[NeuronSettings, ...]
-    synapses: tuple[SynapseSettings, ...]
+    neurons: Sequence[NeuronSettings]
+    synapses: Sequence[SynapseSettings]
     stdp_enabled: bool = False
     input_spike_amount: int = 16
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "neurons", tuple(self.neurons))
-        object.__setattr__(self, "synapses", tuple(self.synapses))
+        object.__setattr__(self, "neurons", Neurons.of(self.neurons))
+        object.__setattr__(self, "synapses", Synapses.of(self.synapses))
 
     def neuron_names(self) -> list[str]:
-        return [n.name for n in self.neurons]
+        return list(self.neurons.name)
 
     def neuron_index(self) -> dict[str, int]:
-        return {n.name: i for i, n in enumerate(self.neurons)}
+        return dict(zip(self.neurons.name, range(len(self.neurons))))
 
 
 @dataclass(frozen=True)
@@ -153,36 +174,37 @@ class ValidationReport:
     min_accumulator_width: int
 
 
-def _check_neuron(n: NeuronSettings, hw: HardwareConstants, out: list[Violation]) -> None:
-    tlo, thi = signed_range(hw.threshold_width)
-    alo, ahi = signed_range(hw.accumulator_width)
-    if not tlo <= n.threshold <= thi:
-        out.append(Violation(n.name, "threshold out of range",
-                             f"neuron {n.name}: threshold {n.threshold} outside "
-                             f"[{tlo}, {thi}] for a {hw.threshold_width}-bit threshold"))
-    for label, value in (("standard resting", n.standard_resting),
-                         ("refractory resting", n.refractory_resting)):
-        if not alo <= value <= ahi:
-            out.append(Violation(n.name, "resting potential out of range",
-                                 f"neuron {n.name}: {label} potential {value} outside "
-                                 f"[{alo}, {ahi}] for a {hw.accumulator_width}-bit accumulator"))
-    if not 0 <= n.leak <= hw.max_leak:
-        out.append(Violation(n.name, "leak out of range",
-                             f"neuron {n.name}: leak {n.leak} outside [0, {hw.max_leak}]"))
-    if not 0 <= n.abs_refractory <= hw.max_abs_refractory:
-        out.append(Violation(n.name, "refractory out of range",
-                             f"neuron {n.name}: absolute refractory {n.abs_refractory} "
-                             f"outside [0, {hw.max_abs_refractory}]"))
-    if not 0 <= n.rel_refractory <= hw.max_rel_refractory:
-        out.append(Violation(n.name, "refractory out of range",
-                             f"neuron {n.name}: relative refractory {n.rel_refractory} "
-                             f"outside [0, {hw.max_rel_refractory}]"))
+# A range rule over one column: the column, its inclusive bounds, the rule
+# name, and what a violation says about an offending value.
+RangeRule = tuple[Sequence[int], int, int, str, Callable[[int], str]]
+
+
+def _outside(rules: Sequence[RangeRule]) -> set[int]:
+    """Indices of the entities that break one of the range rules. A column is
+    scanned element by element only when its min or max is out of bounds."""
+    bad: set[int] = set()
+    for column, lo, hi, _, _ in rules:
+        if column and not (lo <= min(column) and max(column) <= hi):
+            bad.update(i for i, value in enumerate(column) if not lo <= value <= hi)
+    return bad
+
+
+def _range_violations(i: int, entity: str, label: str, rules: Sequence[RangeRule],
+                      out: list[Violation]) -> None:
+    for column, lo, hi, rule, describe in rules:
+        value = column[i]
+        if not lo <= value <= hi:
+            out.append(Violation(entity, rule, f"{label}: {describe(value)}"))
 
 
 def validate_network(net: Network, hw: HardwareConstants) -> ValidationReport:
     """Check every programmed setting against the hardware limits.
 
     Returns a report listing all violations; ok is true when there are none.
+    Violations come entity by entity: the hardware, each neuron in order,
+    each synapse in order, the port budget of each neuron, then the network
+    settings. Each rule is checked on a whole column at once; entities are
+    visited only to report the ones that break a rule.
     """
     violations: list[Violation] = []
     needed = min_accumulator_width(hw.weight_width, hw.ports, hw.injection_ports)
@@ -192,47 +214,75 @@ def validate_network(net: Network, hw: HardwareConstants) -> ValidationReport:
                                     f"minimum {needed} for weight width {hw.weight_width}, "
                                     f"{hw.ports} ports, {hw.injection_ports} injection ports"))
 
-    seen: set[str] = set()
-    for n in net.neurons:
-        if n.name in seen:
-            violations.append(Violation(n.name, "duplicate neuron id",
-                                        f"neuron name {n.name} declared more than once"))
-        seen.add(n.name)
-        _check_neuron(n, hw, violations)
+    neurons = net.neurons
+    names = neurons.name
+    tlo, thi = signed_range(hw.threshold_width)
+    alo, ahi = signed_range(hw.accumulator_width)
+    acc = f"for a {hw.accumulator_width}-bit accumulator"
+    neuron_rules: tuple[RangeRule, ...] = (
+        (neurons.threshold, tlo, thi, "threshold out of range",
+         lambda v: f"threshold {v} outside [{tlo}, {thi}] for a {hw.threshold_width}-bit threshold"),
+        (neurons.standard_resting, alo, ahi, "resting potential out of range",
+         lambda v: f"standard resting potential {v} outside [{alo}, {ahi}] {acc}"),
+        (neurons.refractory_resting, alo, ahi, "resting potential out of range",
+         lambda v: f"refractory resting potential {v} outside [{alo}, {ahi}] {acc}"),
+        (neurons.leak, 0, hw.max_leak, "leak out of range",
+         lambda v: f"leak {v} outside [0, {hw.max_leak}]"),
+        (neurons.abs_refractory, 0, hw.max_abs_refractory, "refractory out of range",
+         lambda v: f"absolute refractory {v} outside [0, {hw.max_abs_refractory}]"),
+        (neurons.rel_refractory, 0, hw.max_rel_refractory, "refractory out of range",
+         lambda v: f"relative refractory {v} outside [0, {hw.max_rel_refractory}]"),
+    )
+    known = set(names)
+    duplicates: set[int] = set()
+    if len(known) < len(names):
+        seen: set[str] = set()
+        for i, name in enumerate(names):
+            if name in seen:
+                duplicates.add(i)
+            seen.add(name)
+    for i in sorted(duplicates | _outside(neuron_rules)):
+        name = names[i]
+        if i in duplicates:
+            violations.append(Violation(name, "duplicate neuron id",
+                                        f"neuron name {name} declared more than once"))
+        _range_violations(i, name, f"neuron {name}", neuron_rules, violations)
 
+    synapses = net.synapses
+    pre, post = synapses.pre, synapses.post
     wlo, whi = signed_range(hw.weight_width)
-    fan_in: dict[str, int] = {n.name: 0 for n in net.neurons}
-    for s in net.synapses:
-        label = f"{s.pre}->{s.post}"
-        for end in (s.pre, s.post):
-            if end not in seen:
+    synapse_rules: tuple[RangeRule, ...] = (
+        (synapses.weight, wlo, whi, "weight out of range",
+         lambda v: f"weight {v} outside [{wlo}, {whi}] for a {hw.weight_width}-bit weight"),
+        (synapses.delay, 0, hw.max_delay, "delay out of range",
+         lambda v: f"delay {v} outside [0, {hw.max_delay}]"),
+    )
+    unknown = set(pre).union(post) - known
+    dangling = {i for i, ends in enumerate(zip(pre, post))
+                if not unknown.isdisjoint(ends)} if unknown else set()
+    for i in sorted(dangling | _outside(synapse_rules)):
+        label = f"{pre[i]}->{post[i]}"
+        for end in (pre[i], post[i]):
+            if end not in known:
                 violations.append(Violation(label, "unknown neuron",
                                             f"synapse {label}: no neuron named {end}"))
-        if not wlo <= s.weight <= whi:
-            violations.append(Violation(label, "weight out of range",
-                                        f"synapse {label}: weight {s.weight} outside "
-                                        f"[{wlo}, {whi}] for a {hw.weight_width}-bit weight"))
-        if not 0 <= s.delay <= hw.max_delay:
-            violations.append(Violation(label, "delay out of range",
-                                        f"synapse {label}: delay {s.delay} outside "
-                                        f"[0, {hw.max_delay}]"))
-        if s.post in fan_in:
-            fan_in[s.post] += 1
+        _range_violations(i, label, f"synapse {label}", synapse_rules, violations)
 
     # Each neuron has hw.ports input ports; enabling injection reserves
     # hw.injection_ports of them, leaving fewer for incoming synapses.
-    for n in net.neurons:
-        budget = hw.ports - (hw.injection_ports if n.injection else 0)
-        if fan_in[n.name] > budget:
-            violations.append(Violation(n.name, "port budget exceeded",
-                                        f"neuron {n.name}: {fan_in[n.name]} incoming synapses "
-                                        f"exceed the {budget} available ports"))
+    fan_in = Counter(post)
+    if fan_in and max(fan_in.values()) > hw.ports - hw.injection_ports:
+        for name, injection in zip(names, neurons.injection):
+            budget = hw.ports - (hw.injection_ports if injection else 0)
+            if fan_in[name] > budget:
+                violations.append(Violation(name, "port budget exceeded",
+                                            f"neuron {name}: {fan_in[name]} incoming synapses "
+                                            f"exceed the {budget} available ports"))
 
     if net.stdp_enabled and len(hw.stdp_table) == 0:
         violations.append(Violation("network", "stdp unavailable",
                                     "stdp is enabled but the hardware adjustment table is empty"))
 
-    alo, ahi = signed_range(hw.accumulator_width)
     if not alo <= net.input_spike_amount <= ahi:
         violations.append(Violation("network", "input spike amount out of range",
                                     f"input spike amount {net.input_spike_amount} outside "
@@ -244,12 +294,8 @@ def validate_network(net: Network, hw: HardwareConstants) -> ValidationReport:
 
 def resource_report(net: Network, hw: HardwareConstants) -> str:
     """Human-readable resource summary for a network on given hardware."""
-    fan_in: dict[str, int] = {n.name: 0 for n in net.neurons}
-    max_delay_used = 0
-    for s in net.synapses:
-        if s.post in fan_in:
-            fan_in[s.post] += 1
-        max_delay_used = max(max_delay_used, s.delay)
+    fan_in = Counter(net.synapses.post)
+    max_delay_used = max([0, *net.synapses.delay])
     needed = min_accumulator_width(hw.weight_width, hw.ports, hw.injection_ports)
     lines = [
         f"neurons: {len(net.neurons)}",
@@ -261,7 +307,7 @@ def resource_report(net: Network, hw: HardwareConstants) -> str:
     ]
     if net.neurons:
         lines.append("port usage:")
-        for n in net.neurons:
-            budget = hw.ports - (hw.injection_ports if n.injection else 0)
-            lines.append(f"  {n.name}: {fan_in[n.name]}/{budget}")
+        for name, injection in zip(net.neurons.name, net.neurons.injection):
+            budget = hw.ports - (hw.injection_ports if injection else 0)
+            lines.append(f"  {name}: {fan_in[name]}/{budget}")
     return "\n".join(lines)
