@@ -100,8 +100,8 @@ def is_checked(stim: Stimulus, net: Network, hw: HardwareConstants) -> bool:
 
 def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
     index = net.neuron_index()
-    neurons, synapses, events = net.neurons, net.synapses, stim.events
-    ev_cycle, ev_neuron, ev_kind, ev_value = events.by_cycle().columns()
+    neurons, synapses = net.neurons, net.synapses
+    ev_cycle, ev_neuron, ev_kind, ev_value = stim.events.by_cycle().columns()
     amount = net.input_spike_amount
 
     # The network's columns are immutable tuples and are shared; syn_weight

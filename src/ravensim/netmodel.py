@@ -176,10 +176,10 @@ class ValidationReport:
 
 # A range rule over one column: the column, its inclusive bounds, the rule
 # name, and what a violation says about an offending value.
-RangeRule = tuple[Sequence[int], int, int, str, Callable[[int], str]]
+_RangeRule = tuple[Sequence[int], int, int, str, Callable[[int], str]]
 
 
-def _outside(rules: Sequence[RangeRule]) -> set[int]:
+def _outside(rules: Sequence[_RangeRule]) -> set[int]:
     """Indices of the entities that break one of the range rules. A column is
     scanned element by element only when its min or max is out of bounds."""
     bad: set[int] = set()
@@ -189,7 +189,7 @@ def _outside(rules: Sequence[RangeRule]) -> set[int]:
     return bad
 
 
-def _range_violations(i: int, entity: str, label: str, rules: Sequence[RangeRule],
+def _range_violations(i: int, entity: str, label: str, rules: Sequence[_RangeRule],
                       out: list[Violation]) -> None:
     for column, lo, hi, rule, describe in rules:
         value = column[i]
@@ -219,7 +219,7 @@ def validate_network(net: Network, hw: HardwareConstants) -> ValidationReport:
     tlo, thi = signed_range(hw.threshold_width)
     alo, ahi = signed_range(hw.accumulator_width)
     acc = f"for a {hw.accumulator_width}-bit accumulator"
-    neuron_rules: tuple[RangeRule, ...] = (
+    neuron_rules: tuple[_RangeRule, ...] = (
         (neurons.threshold, tlo, thi, "threshold out of range",
          lambda v: f"threshold {v} outside [{tlo}, {thi}] for a {hw.threshold_width}-bit threshold"),
         (neurons.standard_resting, alo, ahi, "resting potential out of range",
@@ -251,7 +251,7 @@ def validate_network(net: Network, hw: HardwareConstants) -> ValidationReport:
     synapses = net.synapses
     pre, post = synapses.pre, synapses.post
     wlo, whi = signed_range(hw.weight_width)
-    synapse_rules: tuple[RangeRule, ...] = (
+    synapse_rules: tuple[_RangeRule, ...] = (
         (synapses.weight, wlo, whi, "weight out of range",
          lambda v: f"weight {v} outside [{wlo}, {whi}] for a {hw.weight_width}-bit weight"),
         (synapses.delay, 0, hw.max_delay, "delay out of range",
