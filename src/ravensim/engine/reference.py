@@ -33,15 +33,16 @@ class ReferenceEngine:
     def __init__(self, net: Network, hw: HardwareConstants, stim: Stimulus):
         self.net = net
         self.hw = hw
-        self.synapses = tuple(net.synapses)  # settings records, built once
+        neurons = tuple(net.neurons)  # settings records, built once
+        self.synapses = tuple(net.synapses)
         self.events = list(stim.events)
-        self.names = [m.name for m in net.neurons]
-        self.settings = {m.name: m for m in net.neurons}
-        self.acc = {m.name: m.standard_resting for m in net.neurons}
-        self.mode = {m.name: _STD for m in net.neurons}
-        self.mode_left = {m.name: 0 for m in net.neurons}
-        self.pending = {m.name: False for m in net.neurons}
-        self.anchor: dict[str, int | None] = {m.name: None for m in net.neurons}
+        self.names = [m.name for m in neurons]
+        self.settings = {m.name: m for m in neurons}
+        self.acc = {m.name: m.standard_resting for m in neurons}
+        self.mode = {m.name: _STD for m in neurons}
+        self.mode_left = {m.name: 0 for m in neurons}
+        self.pending = {m.name: False for m in neurons}
+        self.anchor: dict[str, int | None] = {m.name: None for m in neurons}
         self.weight = {j: s.weight for j, s in enumerate(net.synapses)}
         self.last_delivery: dict[int, int | None] = {j: None for j in range(len(net.synapses))}
         self.history: list[set[str]] = []  # the fire set of every cycle run

@@ -341,12 +341,8 @@ def load_stimulus(text: str, net: Network, hw: HardwareConstants) -> Stimulus:
 
 
 def save_stimulus(stim: Stimulus) -> str:
-    lines = []
-    for ev in stim.events:
-        if ev.kind == INJECTION:
-            lines.append(f"AI {ev.cycle} {ev.neuron} {ev.value}")
-        else:
-            lines.append(f"AS {ev.cycle} {ev.neuron}")
+    lines = [f"AI {cycle} {neuron} {value}" if kind == INJECTION else f"AS {cycle} {neuron}"
+             for cycle, neuron, kind, value in zip(*stim.events.columns())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
