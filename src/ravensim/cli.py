@@ -10,7 +10,8 @@ BACKEND is one of auto (the default), python, compiled and reference.
 
 Traces go to standard output; everything diagnostic goes to standard error.
 Exit status: 0 success, 1 validation failure or golden divergence, 2 parse
-or usage errors, or an input the chosen backend cannot run.
+or usage errors, or an input the chosen backend cannot run (including one
+too large for the memory at hand).
 """
 
 from __future__ import annotations
@@ -143,6 +144,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAIL
     except ValueError as e:  # a FormatError, or a backend that cannot run the input
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:  # the kernel's own messages name what it could not allocate
+        print("error:", str(e) or "out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from .engine import CycleReport, new_engine
 from .ioformats import (
     FormatError,
-    _require_int,
+    _field,
     load_hardware,
     load_network,
     load_stimulus,
@@ -72,14 +72,13 @@ def load_case(case_dir: Path | str) -> GoldenCase:
         raise FormatError(f"{manifest_path}: {e.msg}") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"{manifest_path}: must be a JSON object")
-    cycles = _require_int(manifest, "cycles", str(manifest_path))
+    where = str(manifest_path)
+    cycles = _field(manifest, "cycles", None, int, where)
+    name = _field(manifest, "name", None, str, where)
     try:
-        name = manifest["name"]
         hw_text, net_text, stim_text, expected_text = (
-            (case_dir / manifest[key]).read_text()
+            (case_dir / _field(manifest, key, None, str, where)).read_text()
             for key in ("hardware", "network", "stimulus", "expected"))
-    except KeyError as e:
-        raise FormatError(f"{manifest_path}: missing key \"{e.args[0]}\"") from None
     except OSError as e:
         raise FormatError(f"{manifest_path}: cannot read {e.filename}: {e.strerror}") from None
     hw = load_hardware(hw_text)
@@ -92,7 +91,7 @@ def load_case(case_dir: Path | str) -> GoldenCase:
         stimulus=load_stimulus(stim_text, net, hw),
         cycles=cycles,
         expected=tuple(parse_trace_jsonl(expected_text)),
-        notes=manifest.get("notes", ""),
+        notes=_field(manifest, "notes", "", str, where),
     )
 
 

@@ -46,27 +46,19 @@ def _parse_json(text: str) -> Any:
         raise FormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
 
 
-def _require_int(obj: dict, key: str, where: str) -> int:
+_KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def _field(obj: dict, key: str, default: Any, kind: type, where: str) -> Any:
+    """obj[key], which must be of exactly type kind (so a bool is no int);
+    default when the key is absent, unless default is None (a required key)."""
     if key not in obj:
-        raise FormatError(f"{where}: missing key \"{key}\"")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{where}: key \"{key}\" must be an integer, got {value!r}")
-    return value
-
-
-def _optional_int(obj: dict, key: str, where: str, default: int) -> int:
-    if key not in obj:
-        return default
-    return _require_int(obj, key, where)
-
-
-def _optional_bool(obj: dict, key: str, where: str, default: bool) -> bool:
-    if key not in obj:
+        if default is None:
+            raise FormatError(f"{where}: missing key \"{key}\"")
         return default
     value = obj[key]
-    if not isinstance(value, bool):
-        raise FormatError(f"{where}: key \"{key}\" must be a boolean, got {value!r}")
+    if type(value) is not kind:
+        raise FormatError(f"{where}: key \"{key}\" must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -77,7 +69,7 @@ def _reject_unknown(obj: dict, allowed: Container[str], where: str) -> None:
 
 
 def _check_version(obj: dict, where: str) -> None:
-    version = _require_int(obj, "format", where)
+    version = _field(obj, "format", None, int, where)
     if version != FORMAT_VERSION:
         raise FormatError(f"{where}: unsupported format version {version}")
 
@@ -103,17 +95,15 @@ def load_hardware(text: str) -> HardwareConstants:
     where = "hardware file"
     _check_version(obj, where)
     _reject_unknown(obj, set(_HW_KEYS) | {"format", "stdp_table"}, where)
-    kwargs = {key: _require_int(obj, key, where) for key in _HW_KEYS}
+    kwargs = {key: _field(obj, key, None, int, where) for key in _HW_KEYS}
     if "stdp_table" not in obj:
         raise FormatError(f"{where}: missing key \"stdp_table\"")
-    raw_table = obj["stdp_table"]
-    if not isinstance(raw_table, list):
+    table = obj["stdp_table"]
+    if not isinstance(table, list):
         raise FormatError(f"{where}: stdp_table must be an array of integers")
-    table = []
-    for i, v in enumerate(raw_table):
-        if isinstance(v, bool) or not isinstance(v, int):
+    for i, v in enumerate(table):
+        if type(v) is not int:
             raise FormatError(f"{where}: stdp_table[{i}] must be an integer, got {v!r}")
-        table.append(v)
     try:
         return HardwareConstants(stdp_table=tuple(table), **kwargs)
     except ValueError as e:
@@ -157,9 +147,8 @@ def _columns(objs: list, spec: tuple) -> list[list] | None:
     return columns
 
 
-def _neuron_rows(objs: list) -> list[tuple]:
-    """The neuron objects in order as settings rows; raises the first error."""
-    rows = []
+def _neuron_error(objs: list) -> None:
+    """Raises the first error of the neuron objects, in document order."""
     for i, raw in enumerate(objs):
         if not isinstance(raw, dict):
             raise FormatError(f"neuron #{i}: must be an object")
@@ -168,46 +157,29 @@ def _neuron_rows(objs: list) -> list[tuple]:
             raise FormatError(f"neuron #{i}: missing or empty \"name\"")
         where = f"neuron \"{name}\""
         _reject_unknown(raw, _NEURON_KEYS, where)
-        rows.append((
-            name,
-            _require_int(raw, "threshold", where),
-            _optional_int(raw, "standard_resting", where, 0),
-            _optional_int(raw, "refractory_resting", where, 0),
-            _optional_int(raw, "abs_refractory", where, 0),
-            _optional_int(raw, "rel_refractory", where, 0),
-            _optional_int(raw, "leak", where, 0),
-            _optional_bool(raw, "injection", where, False),
-        ))
-    return rows
+        for key, default, kind in _NEURON_COLUMNS:
+            _field(raw, key, default, kind, where)
 
 
-def _synapse_rows(objs: list) -> list[tuple]:
-    """The synapse objects in order as settings rows; raises the first error."""
-    rows = []
+def _synapse_error(objs: list) -> None:
+    """Raises the first error of the synapse objects, in document order."""
     for i, raw in enumerate(objs):
-        if not isinstance(raw, dict):
-            raise FormatError(f"synapse #{i}: must be an object")
         where = f"synapse #{i}"
+        if not isinstance(raw, dict):
+            raise FormatError(f"{where}: must be an object")
         _reject_unknown(raw, _SYNAPSE_KEYS, where)
-        pre = raw.get("from")
-        post = raw.get("to")
-        if not isinstance(pre, str) or not isinstance(post, str):
+        if not isinstance(raw.get("from"), str) or not isinstance(raw.get("to"), str):
             raise FormatError(f"{where}: \"from\" and \"to\" must be neuron names")
-        rows.append((
-            pre,
-            post,
-            _require_int(raw, "weight", where),
-            _optional_int(raw, "delay", where, 0),
-        ))
-    return rows
+        for key, default, kind in _SYNAPSE_COLUMNS:
+            _field(raw, key, default, kind, where)
 
 
 def parse_network(text: str) -> Network:
     """Parse a network document without hardware validation.
 
     The neuron and synapse objects are read straight into columns. Only a
-    document with a malformed entity is read object by object, to report
-    its first error in document order."""
+    document with a malformed entity is read again object by object, to
+    report its first error in document order."""
     obj = _parse_json(text)
     if not isinstance(obj, dict):
         raise FormatError("network file: top level must be a JSON object")
@@ -219,25 +191,20 @@ def parse_network(text: str) -> Network:
 
     neurons = _columns(obj["neurons"], _NEURON_COLUMNS)
     if neurons is None or "" in neurons[0]:
-        neurons = _transpose(_neuron_rows(obj["neurons"]), len(_NEURON_COLUMNS))
+        _neuron_error(obj["neurons"])
     synapses = _columns(obj["synapses"], _SYNAPSE_COLUMNS)
     if synapses is None:
-        synapses = _transpose(_synapse_rows(obj["synapses"]), len(_SYNAPSE_COLUMNS))
+        _synapse_error(obj["synapses"])
 
     settings = obj.get("settings", {})
     if not isinstance(settings, dict):
         raise FormatError("network file: \"settings\" must be an object")
     _reject_unknown(settings, _SETTINGS_KEYS, "settings")
-    stdp = _optional_bool(settings, "stdp", "settings", False)
-    amount = _optional_int(settings, "input_spike_amount", "settings", 16)
+    stdp = _field(settings, "stdp", False, bool, "settings")
+    amount = _field(settings, "input_spike_amount", 16, int, "settings")
 
     return Network(neurons=Neurons(*neurons), synapses=Synapses(*synapses),
                    stdp_enabled=stdp, input_spike_amount=amount)
-
-
-def _transpose(rows: list[tuple], width: int) -> list:
-    """Rows of width fields as width columns."""
-    return list(zip(*rows)) if rows else [()] * width
 
 
 def load_network(text: str, hw: HardwareConstants) -> Network:
@@ -259,43 +226,37 @@ def save_network(net: Network) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _stimulus_rows(lines: list[str]) -> list[tuple[int, str, str, int]]:
-    """The (cycle, neuron, kind, value) row of every event line, read line by
-    line; raises the first syntax error."""
-    rows = []
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _stimulus_error(lines: list[str]) -> None:
+    """Raises the first syntax error of the stimulus lines, in line order."""
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         parts = line.split()
+        if not parts:
+            continue
         where = f"stimulus line {lineno}"
-        if parts[0] == "AS" and len(parts) == 3:
-            kind, value_str = INPUT_SPIKE, None
-        elif parts[0] == "AI" and len(parts) == 4:
-            kind, value_str = INJECTION, parts[3]
-        else:
+        if (parts[0], len(parts)) not in {("AS", 3), ("AI", 4)}:
             raise FormatError(f"{where}: expected \"AS <cycle> <neuron>\" or "
                               f"\"AI <cycle> <neuron> <value>\", got {line!r}")
-        try:
-            cycle = int(parts[1], 10)
-        except ValueError:
-            raise FormatError(f"{where}: cycle must be an integer") from None
-        if cycle < 0:
+        if not _is_int(parts[1]):
+            raise FormatError(f"{where}: cycle must be an integer")
+        if int(parts[1]) < 0:
             raise FormatError(f"{where}: cycle must be >= 0")
-        value = 0
-        if kind == INJECTION:
-            try:
-                value = int(value_str, 10)
-            except ValueError:
-                raise FormatError(f"{where}: injection value must be an integer") from None
-        rows.append((cycle, parts[2], kind, value))
-    return rows
+        if len(parts) == 4 and not _is_int(parts[3]):
+            raise FormatError(f"{where}: injection value must be an integer")
 
 
 def _stimulus_columns(text: str, lines: list[str]) -> list[list] | None:
     """The cycle, neuron, kind and value columns of the event lines of text,
     read a column at a time; None when a line may be malformed, which
-    _stimulus_rows reports."""
+    _stimulus_error reports."""
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
     rows = list(filter(None, map(str.split, lines)))
@@ -329,7 +290,7 @@ def load_stimulus(text: str, net: Network, hw: HardwareConstants) -> Stimulus:
     lines = text.splitlines()
     columns = _stimulus_columns(text, lines)
     if columns is None:
-        columns = _transpose(_stimulus_rows(lines), 4)
+        _stimulus_error(lines)
     events = Events(*columns)
     problem = stimulus_problem(events, net, hw)
     if problem is not None:
@@ -400,17 +361,15 @@ def parse_trace_jsonl(text: str) -> list[CycleReport]:
         where = f"trace line {lineno}"
         if not isinstance(obj, dict):
             raise FormatError(f"{where}: must be an object")
-        cycle = _require_int(obj, "cycle", where)
+        cycle = _field(obj, "cycle", None, int, where)
         fired = obj.get("fired")
         charges = obj.get("charges")
         if not isinstance(fired, list) or not all(isinstance(x, str) for x in fired):
             raise FormatError(f"{where}: \"fired\" must be an array of names")
         if not isinstance(charges, dict):
             raise FormatError(f"{where}: \"charges\" must be an object")
-        clean = {}
         for name, value in charges.items():
-            if isinstance(value, bool) or not isinstance(value, int):
+            if type(value) is not int:
                 raise FormatError(f"{where}: charge for \"{name}\" must be an integer")
-            clean[name] = value
-        reports.append(CycleReport(cycle=cycle, fired=tuple(fired), charges=clean))
+        reports.append(CycleReport(cycle=cycle, fired=tuple(fired), charges=dict(charges)))
     return reports

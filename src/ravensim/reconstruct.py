@@ -125,10 +125,9 @@ def run_sweep(case: GoldenCase, spec: SweepSpec) -> SweepResult:
     return SweepResult(case.name, label, spec.mode, survivors, fixture_value, ok)
 
 
-def joint_edge_search(case: GoldenCase,
-                      delays: range = DELAYS,
-                      weights: range = WEIGHTS) -> JointResult:
-    """Exhaustive (delay, weight) search for every synapse at once.
+def joint_edge_search(case: GoldenCase) -> JointResult:
+    """Exhaustive (delay, weight) search over DELAYS and WEIGHTS for every
+    synapse at once.
 
     Valid only for plain accumulate-and-fire traces (no leak, refractory
     periods, plasticity, or resting offsets, and no negative charge cells):
@@ -161,10 +160,9 @@ def joint_edge_search(case: GoldenCase,
 
     edges = [(s.pre, s.post) for s in net.synapses]
     n_edges = len(edges)
-    weight_box = list(weights)
     solutions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    for combo in itertools.product(delays, repeat=n_edges):
+    for combo in itertools.product(DELAYS, repeat=n_edges):
         # Which synapses deliver into (cycle, neuron) under these delays.
         deliver: dict[tuple[int, str], list[int]] = {}
         for j, (pre, post) in enumerate(edges):
@@ -194,7 +192,7 @@ def joint_edge_search(case: GoldenCase,
                         break
                 elif len(unknown) == 1:
                     w = rhs - known
-                    if w not in weight_box:
+                    if w not in WEIGHTS:
                         feasible = False
                         break
                     assigned[unknown[0]] = w
@@ -203,7 +201,7 @@ def joint_edge_search(case: GoldenCase,
             continue
 
         free = [j for j in range(n_edges) if j not in assigned]
-        for fill in itertools.product(weight_box, repeat=len(free)):
+        for fill in itertools.product(WEIGHTS, repeat=len(free)):
             trial = dict(assigned)
             trial.update(zip(free, fill))
             if all(sum(trial[j] for j in js) == rhs for js, rhs in equations):

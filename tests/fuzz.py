@@ -4,10 +4,14 @@ Every draw stays inside the hardware limits by construction, so generated
 setups always validate. Widths are kept small enough that the compiled
 kernel is eligible too. random_setup draws tiny networks of every shape;
 build_setup draws self-sustaining networks at the sizes the benchmark uses.
+malformed_documents writes random setups out as text and then breaks them,
+to drive the readers' error paths.
 """
 
 from __future__ import annotations
 
+import copy
+import json
 import random
 
 from ravensim import (
@@ -18,6 +22,7 @@ from ravensim import (
     min_accumulator_width,
 )
 from ravensim.engine import INJECTION, INPUT_SPIKE, Stimulus, StimulusEvent
+from ravensim.ioformats import save_hardware, save_network, save_stimulus
 
 FUZZ_CYCLES = 64
 
@@ -131,3 +136,93 @@ def build_setup(n_neurons: int, fan_out: int, max_delay: int, stdp: bool,
     net = Network(tuple(neurons), tuple(synapses), stdp_enabled=stdp)
     stim = Stimulus(tuple(StimulusEvent(0, f"n{i}") for i in range(n_neurons)))
     return net, hw, stim
+
+
+# JSON values of every type, including the empty name, a float and an int
+# beyond 64 bits.
+_ODD_VALUES = (None, True, False, 0, -3, 7, 2.5, 1 << 70, "", "n0", "x", [], [1, "x"], {}, {"k": 1})
+# Stimulus tokens: keywords, names, integer spellings int() accepts or refuses,
+# and a comment mark.
+_ODD_TOKENS = ("AS", "AI", "XX", "n0", "Z", "0", "-1", "+3", "007", "1_0", "1.5", "x", "٣",
+               "#")
+
+
+def _odd_value(rng: random.Random):
+    return copy.deepcopy(rng.choice(_ODD_VALUES))
+
+
+def _containers(value) -> list:
+    """value and every list and object nested in it."""
+    if isinstance(value, dict):
+        children = list(value.values())
+    elif isinstance(value, list):
+        children = value
+    else:
+        return []
+    return [value] + [found for child in children for found in _containers(child)]
+
+
+def _mutate_json(rng: random.Random, doc):
+    """doc with one key or element deleted, replaced or added."""
+    target = rng.choice(_containers(doc) or [None])
+    if target is None or rng.random() < 0.03:
+        return _odd_value(rng)
+    roll = rng.random()
+    if isinstance(target, dict):
+        keys = list(target)
+        if keys and roll < 0.3:
+            del target[rng.choice(keys)]
+        elif keys and roll < 0.85:
+            target[rng.choice(keys)] = _odd_value(rng)
+        else:
+            target[rng.choice(("lek", "name", "stdp", "wait", "threshold"))] = _odd_value(rng)
+    elif target and roll < 0.3:
+        del target[rng.randrange(len(target))]
+    elif target and roll < 0.85:
+        target[rng.randrange(len(target))] = _odd_value(rng)
+    else:
+        target.append(_odd_value(rng))
+    return doc
+
+
+def _mutate_line(rng: random.Random, line: str) -> str:
+    """line with one or two tokens replaced, added or deleted, or a comment
+    or odd whitespace appended."""
+    parts = line.split() or [""]
+    for _ in range(rng.choice((1, 1, 2))):
+        roll = rng.random()
+        if roll < 0.5:
+            parts[rng.randrange(len(parts))] = rng.choice(_ODD_TOKENS)
+        elif roll < 0.7:
+            parts.insert(rng.randrange(len(parts) + 1), rng.choice(_ODD_TOKENS))
+        elif roll < 0.8 and len(parts) > 1:
+            del parts[rng.randrange(len(parts))]
+        else:
+            return line + rng.choice(("  # note", "\t", " \u3000", "#AS 0"))
+    return rng.choice((" ", "  ", "\t", "\x0b")).join(parts)
+
+
+def malformed_documents(rng: random.Random, count: int):
+    """count (reader, text, net, hw) tuples: a hardware, network or stimulus
+    document written from a random_setup, then broken in up to three places
+    (none for about one in six). reader is "hardware", "network" or
+    "stimulus"; net and hw are the setup's, to read a stimulus against."""
+    for _ in range(count):
+        net, hw, stim = random_setup(rng)
+        reader = rng.choice(("hardware", "network", "stimulus"))
+        mutations = rng.choice((0, 1, 1, 1, 2, 3))
+        if reader == "stimulus":
+            lines = save_stimulus(stim).splitlines() + ["# comment", ""]
+            rng.shuffle(lines)
+            for _ in range(mutations):
+                i = rng.randrange(len(lines))
+                lines[i] = _mutate_line(rng, lines[i])
+            yield reader, "\n".join(lines), net, hw
+            continue
+        doc = json.loads(save_hardware(hw) if reader == "hardware" else save_network(net))
+        for _ in range(mutations):
+            doc = _mutate_json(rng, doc)
+        text = json.dumps(doc)
+        if rng.random() < 0.03:
+            text = text[:rng.randrange(len(text) + 1)]
+        yield reader, text, net, hw

@@ -4,7 +4,7 @@ Each test prints one [PASS]/[FAIL] line (run pytest -s to watch them) and
 asserts the same condition, so the gate reads as a checklist:
 
   1. every bundled worked-example trace reproduces exactly, quickly
-  2. adjustment-table index arithmetic hits the published worked values
+  2. STDP picks the published worked adjustment-table entries on every backend
   3. the closed-form minimum accumulator width matches a brute-force oracle
   4. the engine and the naive reference oracle agree on >= 1000 random nets
   5. the per-cycle property suite holds
@@ -14,12 +14,22 @@ asserts the same condition, so the gate reads as a checklist:
 from __future__ import annotations
 
 import random
+import shutil
 import time
 
 import test_properties
 from fuzz import FUZZ_CYCLES, random_setup
-from ravensim import goldens, min_accumulator_width, new_engine, new_reference_engine
-from ravensim.plasticity import potentiation_index
+from ravensim import (
+    HardwareConstants,
+    Network,
+    NeuronSettings,
+    SynapseSettings,
+    goldens,
+    min_accumulator_width,
+    new_engine,
+    new_reference_engine,
+)
+from ravensim.engine import Stimulus, StimulusEvent
 from ravensim.reconstruct import JOINT_CASES, joint_edge_search, verify_case
 
 EXPECTED_CYCLES = {
@@ -59,10 +69,37 @@ def test_criterion_1_golden_traces(golden_cases):
 
 
 def test_criterion_2_stdp_index_arithmetic():
-    got = [potentiation_index(8, 12, x) for x in (7, 10, 12)]
-    conclude(got == [-1, 2, 4],
-             f"criterion 2: size-8 table, exceed at 12, deliveries at "
-             f"(7, 10, 12) -> indices {got}")
+    # Size-8 table; Post exceeds its threshold at cycle 12 only, and its
+    # synapses from P7, P10 and P12 last deliver at cycles 7, 10 and 12:
+    # each P fires the cycle after its input spike and delivers delay
+    # cycles later. Every weight starts at 0 and the entries are distinct,
+    # so each final weight names the entry it received.
+    table = (11, 12, 13, 14, 15, 16, 17, 18)
+    hw = HardwareConstants(
+        accumulator_width=8, threshold_width=4, weight_width=6, max_delay=2, max_leak=0,
+        max_abs_refractory=0, max_rel_refractory=0, ports=3, injection_ports=0,
+        stdp_table=table)
+    net = Network(
+        neurons=tuple(NeuronSettings(name, threshold=0) for name in ("P7", "P10", "P12", "Post")),
+        synapses=(SynapseSettings("P7", "Post", 0, 2), SynapseSettings("P10", "Post", 0, 1),
+                  SynapseSettings("P12", "Post", 0, 0)),
+        stdp_enabled=True,
+        input_spike_amount=1,
+    )
+    stim = Stimulus(tuple(StimulusEvent(cycle, name) for cycle, name in
+                          ((4, "P7"), (8, "P10"), (11, "P12"), (12, "Post"))))
+    backends = ["python", "reference"] + (["compiled"] if shutil.which("cc") else [])
+    entries = {}
+    for backend in backends:
+        engine = new_engine(net, hw, stim, backend=backend)
+        trace = engine.run(13)
+        fires = {rep.cycle: rep.fired for rep in trace if rep.fired}
+        exceeds = [rep.cycle for rep in trace if rep.charges["Post"] > 0]
+        if fires == {5: ("P7",), 9: ("P10",), 12: ("P12",)} and exceeds == [12]:
+            entries[backend] = [table.index(w) if w else None for w in engine.weights()]
+    conclude(entries == dict.fromkeys(backends, [None, 2, 4]),
+             f"criterion 2: size-8 table, exceed at 12, last deliveries at "
+             f"(7, 10, 12) -> entries {entries} on {len(backends)} backends")
 
 
 def test_criterion_3_width_formula_vs_oracle():

@@ -13,7 +13,7 @@ import pytest
 
 import ravensim
 from ravensim.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from ravensim.engine import BACKENDS
+from ravensim.engine import BACKENDS, Engine
 from ravensim.ioformats import parse_trace_jsonl
 
 SRC = str(Path(ravensim.__file__).resolve().parent.parent)
@@ -117,6 +117,18 @@ def test_backend_errors_exit_without_traceback(tmp_path, case_paths):
     assert "Traceback" not in reference.stderr + compiled.stderr
 
 
+@pytest.mark.parametrize("message", ["", "cannot grow the delivery ring"])
+def test_out_of_memory_exits_2_in_one_line(message, case_paths, capsys, monkeypatch):
+    def run(self, cycles):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(Engine, "run", run)
+    assert main(run_argv(case_paths)) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
+
+
 def test_run_table_header(case_paths, capsys):
     main(["run", "--hw", case_paths["hw"], "--net", case_paths["net"],
           "--stim", case_paths["stim"], "--cycles", "3"])
@@ -189,6 +201,9 @@ BROKEN_FIXTURES = {
     "missing_member": "cannot read",
     "not_an_object": "case.json: must be a JSON object",
     "null_cycles": 'key "cycles" must be an integer, got None',
+    "file_key_not_a_string": 'key "hardware" must be a string, got 5',
+    "name_not_a_string": "key \"name\" must be a string, got ['x']",
+    "notes_not_a_string": 'key "notes" must be a string, got 1',
 }
 
 
@@ -204,6 +219,12 @@ def broken_fixtures(tmp_path, cases_by_name, fault):
         manifest = [1]
     elif fault == "null_cycles":
         manifest["cycles"] = None
+    elif fault == "file_key_not_a_string":
+        manifest["hardware"] = 5
+    elif fault == "name_not_a_string":
+        manifest["name"] = ["x"]
+    elif fault == "notes_not_a_string":
+        manifest["notes"] = 1
     else:
         manifest["stimulus"] = "no_such_stimulus.txt"
     (dest / "case.json").write_text(json.dumps(manifest))

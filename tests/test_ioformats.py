@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 
 import pytest
 
+from fuzz import malformed_documents
 from ravensim import HardwareConstants, Network, NeuronSettings, SynapseSettings, new_engine
 from ravensim.engine import INJECTION, INPUT_SPIKE, CycleReport, Stimulus, StimulusEvent, Trace
 from ravensim.ioformats import (
@@ -165,6 +168,71 @@ def test_parse_network_reports_the_first_error_in_document_order():
         parse_network(json.dumps(doc))
 
 
+NEURON_A = {"name": "A", "threshold": 1}
+SYNAPSE_AB = {"from": "A", "to": "B", "weight": 1}
+# Whole messages, pinned so that every entity, settings, hardware and
+# stimulus error reads the same whichever reader path reports it.
+EXACT_MESSAGES = [
+    (net_text(neurons=[NEURON_A, {"name": "", "threshold": 1}]),
+     'neuron #1: missing or empty "name"'),
+    (net_text(neurons=[{"threshold": 1}]), 'neuron #0: missing or empty "name"'),
+    (net_text(neurons=[{"name": 5, "threshold": 1}]), 'neuron #0: missing or empty "name"'),
+    (net_text(neurons=[dict(NEURON_A, injection=1)]),
+     'neuron "A": key "injection" must be a boolean, got 1'),
+    (net_text(synapses=[SYNAPSE_AB, "A->B"]), "synapse #1: must be an object"),
+    (net_text(synapses=[{"from": "A", "weight": 1}]),
+     'synapse #0: "from" and "to" must be neuron names'),
+    (net_text(synapses=[{"from": "A", "to": None, "weight": 1, "wait": 1}]),
+     'synapse #0: unknown key "wait"'),
+    (net_text(settings=[]), 'network file: "settings" must be an object'),
+    (net_text(settings={"stpd": True}), 'settings: unknown key "stpd"'),
+    (net_text(settings={"stdp": 1}), 'settings: key "stdp" must be a boolean, got 1'),
+    (net_text(settings={"input_spike_amount": "4"}),
+     'settings: key "input_spike_amount" must be an integer, got \'4\''),
+    (net_text(neurons={}), 'network file: "neurons" must be an array'),
+    (net_text(format="1"), 'network file: key "format" must be an integer, got \'1\''),
+]
+
+
+@pytest.mark.parametrize("text, message", EXACT_MESSAGES)
+def test_parse_network_messages_exactly(text, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_network(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({k: v for k, v in HW_DOC.items() if k != "ports"}),
+     'hardware file: missing key "ports"'),
+    (json.dumps({k: v for k, v in HW_DOC.items() if k != "stdp_table"}),
+     'hardware file: missing key "stdp_table"'),
+    (hw_text(stdp_table=[1, "x"]), "hardware file: stdp_table[1] must be an integer, got 'x'"),
+    (hw_text(stdp_table=[1, False]), "hardware file: stdp_table[1] must be an integer, got False"),
+    (hw_text(stdp_table={}), "hardware file: stdp_table must be an array of integers"),
+    (hw_text(max_leak=7.0), 'hardware file: key "max_leak" must be an integer, got 7.0'),
+])
+def test_load_hardware_messages_exactly(text, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_hardware(text)
+
+
+def test_readers_raise_only_format_errors():
+    # Every reader returns or raises FormatError, whichever path reads the
+    # document: a malformed one must meet a reporter that raises.
+    outcomes = set()
+    for reader, text, net, hw in malformed_documents(random.Random(0xBAD), 3000):
+        try:
+            if reader == "hardware":
+                load_hardware(text)
+            elif reader == "network":
+                parse_network(text)
+            else:
+                load_stimulus(text, net, hw)
+            outcomes.add((reader, "ok"))
+        except FormatError:
+            outcomes.add((reader, "error"))
+    assert len(outcomes) == 6
+
+
 def test_load_network_validates_against_hardware():
     hw = load_hardware(hw_text())
     bad = dict(NET_DOC, synapses=[{"from": "A", "to": "B", "weight": 2, "delay": 99}])
@@ -230,6 +298,14 @@ def test_load_stimulus_errors():
         load_stimulus("AI 0 In 1", net, load_hardware(hw_text(injection_ports=0)))
 
 
+def test_stimulus_shape_message_exactly():
+    hw = load_hardware(hw_text())
+    message = ('stimulus line 2: expected "AS <cycle> <neuron>" or '
+               '"AI <cycle> <neuron> <value>", got \'AS 0\\t A  extra\'')
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_stimulus("AS 0 A\n  AS 0\t A  extra # note\n", make_net(), hw)
+
+
 def test_load_stimulus_reports_syntax_errors_before_rule_errors():
     # Every line is read before any event is checked against the network, so
     # a later syntax error wins over an earlier rule error.
@@ -241,6 +317,8 @@ def test_load_stimulus_reports_syntax_errors_before_rule_errors():
         load_stimulus("AS 0 Z\nAI 0 In 1.5\nAS -1 A\n", net, hw)
     with pytest.raises(FormatError, match="^stimulus line 2: cycle must be >= 0$"):
         load_stimulus("AS 0 Z\nAS -1 A\nAS 0\n", net, hw)
+    with pytest.raises(FormatError, match="^stimulus line 1: cycle must be >= 0$"):
+        load_stimulus("AI -1 In x\n", net, hw)
     with pytest.raises(FormatError, match='^stimulus line 1: unknown neuron "Z"$'):
         load_stimulus("AS 3 Z\nAI 0 A 99\n", net, hw)
 
