@@ -19,6 +19,7 @@ from collections.abc import Sequence
 from itertools import chain
 from pathlib import Path
 
+from .events import zeros
 from .layout import Layout
 
 _SOURCE = Path(__file__).with_name("kernel.c")
@@ -56,10 +57,28 @@ def _build(target: Path) -> bool:
     return True
 
 
+def _bind(path: Path):
+    """The kernel library at path as a ctypes.CDLL with the signatures of its ABI."""
+    import ctypes
+
+    lib = ctypes.CDLL(str(path))
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.rk_new.argtypes = [i64, ptr, i64, ptr, i64, ptr, i64, i64, ptr, i64, i64]
+    lib.rk_new.restype = ptr
+    lib.rk_free.argtypes = [ptr]
+    lib.rk_free.restype = None
+    lib.rk_run.argtypes = [ptr, i64, ptr, ptr]
+    lib.rk_run.restype = i64
+    lib.rk_fired.argtypes = [ptr, ptr]
+    lib.rk_fired.restype = i64
+    lib.rk_read.argtypes = [ptr, ptr, ptr, ptr]
+    lib.rk_read.restype = i64
+    return lib
+
+
 @functools.cache
 def _library():
     """The kernel as a loaded ctypes.CDLL, built on first use; None when unavailable."""
-    import ctypes
     import hashlib
 
     digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()
@@ -67,19 +86,9 @@ def _library():
     if not path.exists() and not _build(path):
         return None
     try:
-        lib = ctypes.CDLL(str(path))
+        return _bind(path)
     except OSError:
         return None
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.rk_new.argtypes = [i64, ptr, i64, ptr, i64, ptr, i64, i64, ptr, i64, i64]
-    lib.rk_new.restype = ptr
-    lib.rk_free.argtypes = [ptr]
-    lib.rk_free.restype = None
-    lib.rk_run.argtypes = [ptr, i64, ptr, ptr, ptr]
-    lib.rk_run.restype = i64
-    lib.rk_read.argtypes = [ptr, ptr, ptr, ptr]
-    lib.rk_read.restype = i64
-    return lib
 
 
 def available() -> bool:
@@ -92,8 +101,11 @@ def _int64s(*columns: Sequence[int]) -> bytes:
     return struct.pack(f"{len(values)}q", *values)
 
 
-def _zeros(count: int) -> array:
-    return array("q", [0]) * count
+def _fires(status: int) -> int:
+    """The fire count rk_run returned; MemoryError when it could not grow a buffer."""
+    if status < 0:
+        raise MemoryError("cannot grow the delivery ring or the fired log")
+    return status
 
 
 class CompiledEngine:
@@ -117,31 +129,29 @@ class CompiledEngine:
         weakref.finalize(self, lib.rk_free, self._k)
 
     def run(self, n_cycles: int, record: bool) -> tuple[array, array, array] | None:
-        """One rk_run call. With record, the fired block has room for every
-        neuron firing in every cycle and is cut to the fires made."""
-        blocks = None
-        if record:
-            size = n_cycles * self._n
-            blocks = (_zeros(size), _zeros(n_cycles), _zeros(size))
-        addresses = [block.buffer_info()[0] for block in blocks] if blocks else [None] * 3
-        fires = self._lib.rk_run(self._k, n_cycles, *addresses)
-        if fires < 0:
-            raise MemoryError("cannot grow the delivery ring")
-        if blocks:
-            del blocks[0][fires:]
-        return blocks
+        """One rk_run call. With record, the kernel logs the fired indices and
+        rk_fired copies them into a block of the exact size."""
+        if not record:
+            _fires(self._lib.rk_run(self._k, n_cycles, None, None))
+            return None
+        counts, charges = zeros(n_cycles), zeros(n_cycles * self._n)
+        fires = _fires(self._lib.rk_run(self._k, n_cycles, counts.buffer_info()[0],
+                                        charges.buffer_info()[0]))
+        fired = zeros(fires)
+        self._lib.rk_fired(self._k, fired.buffer_info()[0])
+        return fired, counts, charges
 
     def charges(self) -> list[int]:
-        charges = _zeros(self._n)
+        charges = zeros(self._n)
         self._lib.rk_read(self._k, charges.buffer_info()[0], None, None)
         return charges.tolist()
 
     def weights(self) -> list[int]:
-        weights = _zeros(self._n_syn)
+        weights = zeros(self._n_syn)
         self._lib.rk_read(self._k, None, weights.buffer_info()[0], None)
         return weights.tolist()
 
     def phases(self) -> list[tuple[int, int]]:
-        phases = _zeros(2 * self._n)
+        phases = zeros(2 * self._n)
         self._lib.rk_read(self._k, None, None, phases.buffer_info()[0])
         return list(zip(phases[0::2], phases[1::2]))

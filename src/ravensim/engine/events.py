@@ -88,6 +88,52 @@ class CycleReport:
     charges: dict[str, int]
 
 
+_ZERO = array("q", [0])
+
+
+def zeros(count: int) -> array:
+    """A block of count zeros as one array('q'). A count too large for the
+    memory at hand, or for the address space, raises MemoryError at once."""
+    try:
+        return _ZERO * count
+    except OverflowError:
+        raise MemoryError from None
+
+
+class TraceBlocks:
+    """The fired, count and charge blocks of one run of n_cycles over n
+    neurons, filled a cycle at a time by the python and reference cores.
+
+    The count and charge blocks are allocated whole before the first cycle,
+    as the compiled core allocates them, so a run too long for memory fails
+    at once. A charge beyond 64 bits turns the charge block into a list.
+    """
+
+    def __init__(self, n_cycles: int, n: int):
+        self.fired = array("q")
+        self.counts = zeros(n_cycles)
+        self.charges: array | list[int] = zeros(n_cycles * n)
+        self._n = n
+        self._cycle = 0
+
+    def add(self, fired: list[int], charges: list[int]) -> None:
+        """Records the next cycle: the indices that fired and every charge."""
+        c, n = self._cycle, self._n
+        self._cycle = c + 1
+        self.fired.extend(fired)
+        self.counts[c] = len(fired)
+        if isinstance(self.charges, array):
+            try:
+                self.charges[c * n:(c + 1) * n] = array("q", charges)
+                return
+            except OverflowError:
+                self.charges = self.charges.tolist()
+        self.charges[c * n:(c + 1) * n] = charges
+
+    def blocks(self) -> tuple[array, array, array | list[int]]:
+        return self.fired, self.counts, self.charges
+
+
 def int64_block(values: list[int]) -> array | list[int]:
     """values as one array('q') block, or the list itself when a value does
     not fit in 64 bits (possible on the python and reference backends)."""

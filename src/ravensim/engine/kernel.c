@@ -2,14 +2,37 @@
 
    Plain C99 with no Python headers: compiled.py builds it with cc into a
    shared library and drives it through ctypes. All state is int64_t arrays
-   owned by one rk struct. The exported ABI is rk_new, rk_free, rk_run and
-   rk_read. rk_run(k, n, fired, counts, charges) runs n cycles in one call
-   and, when given caller-owned blocks, records every cycle's fired indices,
-   fire count and charges in them, the same blocks the Python cores fill;
-   with NULL blocks it only advances. Each cycle runs the same four phases
-   as the pure-Python backend (fire, leak, deliver, settle), so the two
-   backends agree cycle for cycle on every network whose values fit in 64
-   bits; the caller checks that before choosing this kernel.
+   owned by one rk struct. The exported ABI is rk_new, rk_free, rk_run,
+   rk_fired and rk_read. rk_run(k, n, counts, charges) runs n cycles in one
+   call and returns the number of fires. Given caller-owned blocks, it
+   records every cycle's fire count and charges in them, and logs the
+   indices of the neurons that fired, cycle after cycle, in a buffer the
+   kernel owns and grows; rk_fired(k, dst) then copies that log into a
+   block of exactly as many values. With NULL blocks rk_run only advances.
+   These are the blocks the Python cores fill.
+
+   Each cycle runs the four phases of the pure-Python backend (fire, leak,
+   deliver, settle) in two passes over the neurons with the deliveries
+   between them:
+
+     1. FIRE then LEAK for each neuron. A firing neuron pushes its outgoing
+        synapses into the delivery ring, zero-delay ones into the slot
+        DELIVER drains next.
+     2. DELIVER, the one pass over the synapses: this cycle's ring slot,
+        then this cycle's stimulus events.
+     3. SETTLE for each neuron: threshold test and STDP, the charge report,
+        then the resting floor and the refractory bookkeeping.
+
+   Within a neuron pass, the steps of neuron i touch only the state of
+   neuron i and of the synapses into it, besides the ring pushes of FIRE,
+   which no other step of the pass reads. So fusing the steps per neuron
+   gives the same result as running each over all neurons in turn, and the
+   two backends agree cycle for cycle on every network whose values fit in
+   64 bits; the caller checks that before choosing this kernel.
+
+   "This cycle" needs no flags that must be cleared again: a synapse
+   delivered in cycle t exactly when its last delivery stamp equals t, and
+   a neuron got a delivery in cycle t when its delivery stamp does.
 
    The delivery ring keeps one growable slot per (cycle mod slots). A
    synapse enters a slot at most once before the slot drains, because its
@@ -31,19 +54,22 @@ typedef struct rk {
     int64_t n, n_syn, n_ev, slots, table_len, stdp, weight_lo, weight_hi;
     int64_t cycle, ev_cursor;
 
-    /* Per-neuron settings, then per-neuron state. */
+    /* Per-neuron settings, then per-neuron state. last_exceed and
+       got_delivery are cycle stamps: the last cycle the charge exceeded the
+       threshold and the last cycle a synapse delivered to the neuron, -1
+       for never. */
     int64_t *threshold, *std_rest, *ref_rest, *abs_ref, *rel_ref, *leak;
     int64_t *acc, *phase, *phase_left, *pending, *last_exceed, *got_delivery;
 
-    /* Per-synapse settings and state, in declaration order. A negative
-       last delivery means the synapse never delivered. */
-    int64_t *syn_pre, *syn_post, *syn_weight, *syn_delay;
-    int64_t *syn_last_delivery, *syn_delivered;
+    /* Per-synapse settings and state, in declaration order. The last
+       delivery is a cycle stamp too, -1 when the synapse never delivered. */
+    int64_t *syn_pre, *syn_post, *syn_weight, *syn_delay, *syn_last_delivery;
 
     /* CSR adjacency in declaration order: the synapses leaving neuron i are
-       out_list[out_start[i] .. out_start[i + 1]), those entering it are
+       out_list[out_start[i] .. out_start[i + 1]), with their delays at the
+       same places of out_delay; those entering it are
        pre_list[pre_start[i] .. pre_start[i + 1]). */
-    int64_t *out_start, *out_list, *pre_start, *pre_list;
+    int64_t *out_start, *out_list, *out_delay, *pre_start, *pre_list;
 
     int64_t *table;
 
@@ -52,6 +78,7 @@ typedef struct rk {
     int64_t *ev_cycle, *ev_neuron, *ev_value;
 
     slot *ring;
+    slot fired; /* the fired indices logged by the current recording rk_run */
 } rk;
 
 /* A zeroed block of cols * n values, with the first cols * n values copied
@@ -91,6 +118,7 @@ void rk_free(rk *k)
         for (s = 0; s < k->slots; s++)
             free(k->ring[s].data);
     free(k->ring);
+    free(k->fired.data);
     free(k->threshold);
     free(k->acc);
     free(k->syn_pre);
@@ -126,8 +154,8 @@ rk *rk_new(int64_t n, const int64_t *neurons, int64_t n_syn, const int64_t *syna
 
     k->threshold = block(6, n, neurons);
     k->acc = block(6, n, NULL);
-    k->syn_pre = block(6, n_syn, NULL);
-    k->out_start = block(2, n + 1 + n_syn, NULL);
+    k->syn_pre = block(5, n_syn, NULL);
+    k->out_start = block(1, 2 * (n + 1) + 3 * n_syn, NULL);
     k->table = block(1, table_len, table);
     k->ev_cycle = block(3, n_ev, events);
     k->ring = calloc((size_t)slots, sizeof *k->ring);
@@ -153,21 +181,24 @@ rk *rk_new(int64_t n, const int64_t *neurons, int64_t n_syn, const int64_t *syna
     for (i = 0; i < n; i++) {
         k->acc[i] = k->std_rest[i];
         k->last_exceed[i] = -1;
+        k->got_delivery[i] = -1;
     }
 
     k->syn_post = k->syn_pre + n_syn;
     k->syn_weight = k->syn_pre + 2 * n_syn;
     k->syn_delay = k->syn_pre + 3 * n_syn;
     k->syn_last_delivery = k->syn_pre + 4 * n_syn;
-    k->syn_delivered = k->syn_pre + 5 * n_syn;
     for (i = 0; i < n_syn; i++)
         k->syn_last_delivery[i] = -1;
 
     k->pre_start = k->out_start + n + 1;
     k->out_list = k->pre_start + n + 1;
-    k->pre_list = k->out_list + n_syn;
+    k->out_delay = k->out_list + n_syn;
+    k->pre_list = k->out_delay + n_syn;
     csr(n, n_syn, k->syn_pre, k->out_start, k->out_list);
     csr(n, n_syn, k->syn_post, k->pre_start, k->pre_list);
+    for (i = 0; i < n_syn; i++)
+        k->out_delay[i] = k->syn_delay[k->out_list[i]];
 
     k->ev_neuron = k->ev_cycle + n_ev;
     k->ev_value = k->ev_cycle + 2 * n_ev;
@@ -194,45 +225,39 @@ static void adjust(rk *k, int64_t j, int64_t delta)
     k->syn_weight[j] = w < k->weight_lo ? k->weight_lo : (w > k->weight_hi ? k->weight_hi : w);
 }
 
-/* One integration cycle. Writes the indices of the neurons that fired to
-   fired (n slots) and the charges as compared against the thresholds, before
+/* One integration cycle. Appends the indices of the neurons that fired to
+   fired and writes the charges as compared against the thresholds, before
    the resting floors, to charges (n slots); either may be NULL. Returns the
    number of neurons that fired, or -1 when an allocation failed, after which
    the state is undefined and k may only be freed. */
-static int64_t rk_step(rk *k, int64_t *fired, int64_t *charges)
+static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
 {
     const int64_t t = k->cycle, n = k->n, half = k->table_len / 2;
     int64_t i, j, p, x, floor, value, count = 0;
     slot *now;
 
-    /* FIRE */
+    /* FIRE, then LEAK, suspended during absolute refractory */
     for (i = 0; i < n; i++) {
-        if (!k->pending[i])
-            continue;
-        if (fired)
-            fired[count] = i;
-        count++;
-        for (x = k->out_start[i]; x < k->out_start[i + 1]; x++) {
-            j = k->out_list[x];
-            if (push(&k->ring[(t + k->syn_delay[j]) % k->slots], j) < 0)
+        if (k->pending[i]) {
+            if (fired && push(fired, i) < 0)
                 return -1;
+            count++;
+            for (x = k->out_start[i]; x < k->out_start[i + 1]; x++)
+                if (push(&k->ring[(t + k->out_delay[x]) % k->slots], k->out_list[x]) < 0)
+                    return -1;
+            k->acc[i] = k->rel_ref[i] > 0 ? k->ref_rest[i] : k->std_rest[i];
+            if (k->abs_ref[i] > 0) {
+                k->phase[i] = PH_ABS;
+                k->phase_left[i] = k->abs_ref[i];
+            } else if (k->rel_ref[i] > 0) {
+                k->phase[i] = PH_REL;
+                k->phase_left[i] = k->rel_ref[i];
+            } else {
+                k->phase[i] = PH_STD;
+                k->phase_left[i] = 0;
+            }
+            k->pending[i] = 0;
         }
-        k->acc[i] = k->rel_ref[i] > 0 ? k->ref_rest[i] : k->std_rest[i];
-        if (k->abs_ref[i] > 0) {
-            k->phase[i] = PH_ABS;
-            k->phase_left[i] = k->abs_ref[i];
-        } else if (k->rel_ref[i] > 0) {
-            k->phase[i] = PH_REL;
-            k->phase_left[i] = k->rel_ref[i];
-        } else {
-            k->phase[i] = PH_STD;
-            k->phase_left[i] = 0;
-        }
-        k->pending[i] = 0;
-    }
-
-    /* LEAK, suspended during absolute refractory */
-    for (i = 0; i < n; i++) {
         if (k->leak[i] <= 0 || k->phase[i] == PH_ABS)
             continue;
         floor = k->phase[i] == PH_STD ? k->std_rest[i] : k->ref_rest[i];
@@ -246,20 +271,21 @@ static int64_t rk_step(rk *k, int64_t *fired, int64_t *charges)
     now = &k->ring[t % k->slots];
     for (x = 0; x < now->size; x++) {
         j = now->data[x];
-        k->syn_delivered[j] = 1;
         k->syn_last_delivery[j] = t;
         p = k->syn_post[j];
-        k->got_delivery[p] = 1;
+        k->got_delivery[p] = t;
         if (k->phase[p] != PH_ABS)
             k->acc[p] += k->syn_weight[j];
     }
+    now->size = 0;
     for (; k->ev_cursor < k->n_ev && k->ev_cycle[k->ev_cursor] == t; k->ev_cursor++) {
         i = k->ev_neuron[k->ev_cursor];
         if (k->phase[i] != PH_ABS)
             k->acc[i] += k->ev_value[k->ev_cursor];
     }
 
-    /* SETTLE: threshold comparison and STDP */
+    /* SETTLE: threshold comparison and STDP, the report, then the resting
+       floors and the refractory bookkeeping */
     for (i = 0; i < n; i++) {
         if (k->acc[i] > k->threshold[i]) {
             k->pending[i] = 1;
@@ -270,21 +296,18 @@ static int64_t rk_step(rk *k, int64_t *fired, int64_t *charges)
                         adjust(k, j, k->table[half - (t - k->syn_last_delivery[j])]);
                 }
             k->last_exceed[i] = t;
-        } else if (k->stdp && k->got_delivery[i] && k->last_exceed[i] >= 0
+        } else if (k->stdp && k->got_delivery[i] == t && k->last_exceed[i] >= 0
                    && half + (t - k->last_exceed[i]) < k->table_len) {
             for (x = k->pre_start[i]; x < k->pre_start[i + 1]; x++) {
                 j = k->pre_list[x];
-                if (k->syn_delivered[j])
+                if (k->syn_last_delivery[j] == t)
                     adjust(k, j, k->table[half + (t - k->last_exceed[i])]);
             }
         }
-    }
 
-    if (charges && n)
-        memcpy(charges, k->acc, (size_t)n * sizeof *charges);
+        if (charges)
+            charges[i] = k->acc[i];
 
-    /* Resting floors and refractory bookkeeping, after the report. */
-    for (i = 0; i < n; i++) {
         if (k->phase[i] == PH_STD) {
             if (k->acc[i] < k->std_rest[i])
                 k->acc[i] = k->std_rest[i];
@@ -301,27 +324,24 @@ static int64_t rk_step(rk *k, int64_t *fired, int64_t *charges)
             k->phase_left[i] = k->rel_ref[i];
         }
     }
-    for (x = 0; x < now->size; x++) {
-        j = now->data[x];
-        k->syn_delivered[j] = 0;
-        k->got_delivery[k->syn_post[j]] = 0;
-    }
-    now->size = 0;
     k->cycle = t + 1;
     return count;
 }
 
-/* Runs cycles steps. With blocks, cycle c writes its fire count to
-   counts[c], its fired indices to fired right after those of the cycles
-   before it, and its charges to charges[c * n .. (c + 1) * n); fired needs
-   room for cycles * n indices, counts for cycles values and charges for
-   cycles * n values. With NULL blocks nothing is recorded. Returns the
-   number of fires in the run, or -1 as rk_step does. */
-int64_t rk_run(rk *k, int64_t cycles, int64_t *fired, int64_t *counts, int64_t *charges)
+/* Runs cycles steps. With counts, cycle c writes its fire count to
+   counts[c] and logs its fired indices after those of the cycles before
+   it, for rk_fired to copy out; with charges, it writes its charges to
+   charges[c * n .. (c + 1) * n). counts needs room for cycles values and
+   charges for cycles * n values. Every call starts an empty log. Returns
+   the number of fires in the run, or -1 as rk_step does, also when the log
+   cannot grow. */
+int64_t rk_run(rk *k, int64_t cycles, int64_t *counts, int64_t *charges)
 {
     int64_t c, count, total = 0;
+    slot *fired = counts ? &k->fired : NULL;
+    k->fired.size = 0;
     for (c = 0; c < cycles; c++) {
-        count = rk_step(k, fired ? fired + total : NULL, charges ? charges + c * k->n : NULL);
+        count = rk_step(k, fired, charges ? charges + c * k->n : NULL);
         if (count < 0)
             return -1;
         if (counts)
@@ -329,6 +349,16 @@ int64_t rk_run(rk *k, int64_t cycles, int64_t *fired, int64_t *counts, int64_t *
         total += count;
     }
     return total;
+}
+
+/* Copies the fired indices the last rk_run logged into dst, which needs
+   room for as many values as that call returned; dst may be NULL. Returns
+   the number of indices logged. */
+int64_t rk_fired(const rk *k, int64_t *dst)
+{
+    if (dst && k->fired.size)
+        memcpy(dst, k->fired.data, (size_t)k->fired.size * sizeof *dst);
+    return k->fired.size;
 }
 
 /* Copies the charges (n values), the synapse weights (n_syn values) and the

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 
-from .events import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD, int64_block
+from .events import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD, TraceBlocks
 from .layout import Layout
 
 
@@ -59,15 +59,12 @@ class PyEngine:
 
     def run(self, n_cycles: int, record: bool) -> tuple[array, array, array | list] | None:
         """Run n_cycles; with record, return their fired, count and charge blocks."""
-        blocks = ([], [], []) if record else None
+        blocks = TraceBlocks(n_cycles, self.n) if record else None
         for _ in range(n_cycles):
             self._cycle(blocks)
-        if blocks is None:
-            return None
-        fired, counts, charges = blocks
-        return array("q", fired), array("q", counts), int64_block(charges)
+        return blocks.blocks() if blocks is not None else None
 
-    def _cycle(self, blocks: tuple[list[int], list[int], list[int]] | None) -> None:
+    def _cycle(self, blocks: TraceBlocks | None) -> None:
         t = self.cycle
         lay = self.lay
         ring = self.ring
@@ -164,9 +161,7 @@ class PyEngine:
 
         # Recorded charges are the compared values, before the floor below.
         if blocks is not None:
-            blocks[0].extend(fired)
-            blocks[1].append(len(fired))
-            blocks[2].extend(acc)
+            blocks.add(fired, acc)
 
         for i in range(self.n):
             ph = phase[i]

@@ -18,7 +18,7 @@ from .events import (
     PHASE_RELATIVE,
     PHASE_STANDARD,
     Stimulus,
-    int64_block,
+    TraceBlocks,
 )
 
 _STD = "standard"
@@ -55,14 +55,12 @@ class ReferenceEngine:
 
     def run(self, n_cycles: int, record: bool) -> tuple[array, array, array | list] | None:
         """Run n_cycles; with record, return their fired, count and charge blocks."""
-        fired, counts, charges = [], [], []
+        blocks = TraceBlocks(n_cycles, len(self.names)) if record else None
         for _ in range(n_cycles):
             cycle_fired, cycle_charges = self._cycle()
-            if record:
-                fired += cycle_fired
-                counts.append(len(cycle_fired))
-                charges += cycle_charges
-        return (array("q", fired), array("q", counts), int64_block(charges)) if record else None
+            if blocks is not None:
+                blocks.add(cycle_fired, cycle_charges)
+        return blocks.blocks() if blocks is not None else None
 
     def _cycle(self) -> tuple[list[int], list[int]]:
         t = len(self.history)

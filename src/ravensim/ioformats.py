@@ -234,6 +234,10 @@ def _is_int(text: str) -> bool:
     return True
 
 
+# (keyword, token count) of the two stimulus line shapes, AS and AI.
+_STIMULUS_SHAPES = frozenset({("AS", 3), ("AI", 4)})
+
+
 def _stimulus_error(lines: list[str]) -> None:
     """Raises the first syntax error of the stimulus lines, in line order."""
     for lineno, raw in enumerate(lines, 1):
@@ -242,7 +246,7 @@ def _stimulus_error(lines: list[str]) -> None:
         if not parts:
             continue
         where = f"stimulus line {lineno}"
-        if (parts[0], len(parts)) not in {("AS", 3), ("AI", 4)}:
+        if (parts[0], len(parts)) not in _STIMULUS_SHAPES:
             raise FormatError(f"{where}: expected \"AS <cycle> <neuron>\" or "
                               f"\"AI <cycle> <neuron> <value>\", got {line!r}")
         if not _is_int(parts[1]):
@@ -261,7 +265,7 @@ def _stimulus_columns(text: str, lines: list[str]) -> list[list] | None:
         lines = [line.split("#", 1)[0] for line in lines]
     rows = list(filter(None, map(str.split, lines)))
     shapes = set(zip(map(itemgetter(0), rows), map(len, rows)))
-    if not shapes <= {("AS", 3), ("AI", 4)}:
+    if not shapes <= _STIMULUS_SHAPES:
         return None
     try:
         cycles = list(map(int, map(itemgetter(1), rows)))

@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ravensim
 from fuzz import FUZZ_CYCLES, build_setup, random_setup
 from ravensim import (
     HardwareConstants,
     Network,
     NeuronSettings,
+    SynapseSettings,
     ValidationError,
     available_backends,
     new_engine,
@@ -53,6 +58,61 @@ def test_kernel_compiles_without_warnings():
     flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-fsyntax-only"]
     proc = subprocess.run(["cc", *flags, str(compiled._SOURCE)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# Runs in a child process over a kernel library built elsewhere (argv[1]):
+# every golden and a 256-neuron STDP network, compiled against python.
+# Exit 77 when the library cannot be loaded here.
+SANITIZED_RUN = """
+import sys
+from fuzz import build_setup
+from ravensim import goldens, new_engine
+from ravensim.engine import compiled
+
+try:
+    lib = compiled._bind(sys.argv[1])
+except OSError:
+    sys.exit(77)
+compiled._library = lambda: lib
+setups = [(case.name, case.network, case.hardware, case.stimulus, case.cycles)
+          for case in goldens.discover_cases()]
+setups.append(("stdp_256", *build_setup(256, 8, 4, stdp=True, seed=7), 300))
+for name, net, hw, stim, cycles in setups:
+    py = new_engine(net, hw, stim, backend="python")
+    ck = new_engine(net, hw, stim, backend="compiled")
+    assert ck.run(cycles) == py.run(cycles), name
+    ck.advance(cycles)
+    py.advance(cycles)
+    assert ck.charges() == py.charges(), name
+    assert ck.weights() == py.weights(), name
+    assert ck.phases() == py.phases(), name
+print(len(setups), "setups")
+"""
+
+
+@needs_kernel
+def test_kernel_has_no_undefined_behaviour(tmp_path, golden_cases):
+    # A sanitized build aborts on the first signed overflow, shift out of
+    # range, misaligned or null access, and so on that a run reaches.
+    library = tmp_path / "kernel-ubsan.so"
+    flags = ["-O1", "-std=c99", "-shared", "-fPIC", "-fsanitize=undefined",
+             "-fno-sanitize-recover=all"]
+    build = subprocess.run(["cc", *flags, "-o", str(library), str(compiled._SOURCE)],
+                           capture_output=True, text=True)
+    if build.returncode != 0:
+        pytest.skip(f"no undefined-behaviour sanitizer here: {build.stderr.strip()[-200:]}")
+    src = Path(ravensim.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), str(Path(__file__).parent),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(library)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path,
+                               "UBSAN_OPTIONS": "print_stacktrace=1"})
+    if proc.returncode == 77:
+        pytest.skip("the sanitizer runtime cannot be loaded here")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{len(golden_cases) + 1} setups\n"
+    assert "runtime error" not in proc.stderr
 
 
 def test_kernel_build_fails_soft(monkeypatch, tmp_path):
@@ -216,6 +276,55 @@ def test_run_equals_stepping_a_twin(backend, golden_cases):
         assert ran.charges() == twin.charges(), name
         assert ran.weights() == twin.weights(), name
         assert ran.phases() == twin.phases(), name
+
+
+def twins(net, hw, stim):
+    return (new_engine(net, hw, stim, backend="python"),
+            new_engine(net, hw, stim, backend="compiled"))
+
+
+def assert_same_run(py, ck, cycles):
+    a, b = py.run(cycles), ck.run(cycles)
+    assert b == a
+    assert (b.fired, b.counts) == (a.fired, a.counts)
+    assert len(b.fired) == sum(b.counts)
+    return b
+
+
+@needs_kernel
+def test_fired_log_restarts_with_every_run():
+    # The kernel logs the fired indices of one run and copies them out after
+    # it; each trace holds its own cycles' fires and no earlier ones, also
+    # after an empty run and after cycles advanced without a trace.
+    py, ck = twins(*build_setup(128, 8, 4, stdp=True, seed=5))
+    for cycles in (0, 1, 3, 0, 7, 1):
+        assert_same_run(py, ck, cycles)
+    py.advance(5)
+    ck.advance(5)
+    assert_same_run(py, ck, 4)
+    assert ck.run(0) == [] and len(ck.run(0).fired) == 0
+    assert ck.cycle == py.cycle == 21
+    assert ck.charges() == py.charges()
+    assert ck.weights() == py.weights()
+
+
+@needs_kernel
+def test_fired_log_grows_to_every_neuron_every_cycle():
+    # A zero-delay self-synapse re-fires every neuron in every cycle after
+    # the kick at cycle 0: the log holds n x cycles indices.
+    names = [f"n{i}" for i in range(64)]
+    net = Network(tuple(NeuronSettings(name, threshold=1) for name in names),
+                  tuple(SynapseSettings(name, name, 2) for name in names),
+                  input_spike_amount=2)
+    _, hw, _ = tiny_setup()
+    py, ck = twins(net, hw, Stimulus(tuple(StimulusEvent(0, name) for name in names)))
+    assert list(assert_same_run(py, ck, 1).counts) == [0]
+    trace = assert_same_run(py, ck, 100)
+    assert list(trace.fired) == list(range(64)) * 100
+
+    quiet = twins(net, hw, Stimulus())
+    trace = assert_same_run(*quiet, 50)
+    assert list(trace.counts) == [0] * 50 and len(trace.fired) == 0
 
 
 @needs_kernel

@@ -14,6 +14,7 @@ import pytest
 import ravensim
 from ravensim.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from ravensim.engine import BACKENDS, Engine
+from ravensim.engine.compiled import available as kernel_available
 from ravensim.ioformats import parse_trace_jsonl
 
 SRC = str(Path(ravensim.__file__).resolve().parent.parent)
@@ -98,10 +99,10 @@ def test_golden_passes_on_every_backend(backend, capsys):
     assert "12/12 passed" in capsys.readouterr().out
 
 
-def cli_process(argv):
+def cli_process(argv, **kwargs):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "ravensim.cli", *argv],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "ravensim.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
 def test_backend_errors_exit_without_traceback(tmp_path, case_paths):
@@ -127,6 +128,30 @@ def test_out_of_memory_exits_2_in_one_line(message, case_paths, capsys, monkeypa
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message or 'out of memory'}\n"
+
+
+def cap_address_space():
+    """Runs in the child before exec: 1 GiB of address space at most."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("cycles", ["10000000000000", "100000000000000000000"])
+@pytest.mark.parametrize("backend", ["python", "compiled", "reference"])
+def test_impossible_cycle_count_fails_at_once(backend, cycles, case_paths):
+    # Every core allocates its count and charge blocks before the first
+    # cycle, so a trace no memory can hold ends the run at once; a core
+    # that grew its blocks cycle by cycle would run until the cap or the
+    # timeout stopped it.
+    skip_compiled_without_cc(backend)
+    if backend == "compiled":
+        assert kernel_available()  # built here, outside the cap
+    argv = run_argv(case_paths) + ["--backend", backend]
+    argv[argv.index("--cycles") + 1] = cycles
+    proc = cli_process(argv, preexec_fn=cap_address_space, timeout=60)
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr == "error: out of memory\n"
 
 
 def test_run_table_header(case_paths, capsys):
