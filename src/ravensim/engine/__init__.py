@@ -92,8 +92,11 @@ class Engine:
         return Trace(self.names, range(start, self.cycle), fired, counts, charges)
 
     def advance(self, n_cycles: int) -> None:
-        """Run n_cycles without recording them."""
+        """Run n_cycles without recording them. A count the kernel's int64_t
+        cannot hold is refused on every backend, before any cycle runs."""
         _check_count(n_cycles)
+        if n_cycles > _INT64_MAX:
+            raise ValueError("cycle count must be <= 2**63 - 1")
         self._core.run(n_cycles, False)
         self.cycle += n_cycles
 

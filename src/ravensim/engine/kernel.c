@@ -11,24 +11,29 @@
    block of exactly as many values. With NULL blocks rk_run only advances.
    These are the blocks the Python cores fill.
 
-   Each cycle runs the four phases of the pure-Python backend (fire, leak,
-   deliver, settle) in two passes over the neurons with the deliveries
-   between them:
+   Each cycle runs the four phases of the cycle specification (fire, leak,
+   deliver, settle; README "Cycle model", written out phase by phase in
+   reference.py) in two passes over the neurons with the deliveries
+   between them. pycore.py runs the same steps in the same order:
 
      1. FIRE then LEAK for each neuron. A firing neuron pushes its outgoing
         synapses into the delivery ring, zero-delay ones into the slot
         DELIVER drains next.
      2. DELIVER, the one pass over the synapses: this cycle's ring slot,
         then this cycle's stimulus events.
-     3. SETTLE for each neuron: threshold test and STDP, the charge report,
-        then the resting floor and the refractory bookkeeping.
+     3. The report: a copy of the charges, which are now the values SETTLE
+        compares against the thresholds.
+     4. SETTLE for each neuron: threshold test and STDP, then the resting
+        floor and the refractory bookkeeping.
 
    Within a neuron pass, the steps of neuron i touch only the state of
    neuron i and of the synapses into it, besides the ring pushes of FIRE,
    which no other step of the pass reads. So fusing the steps per neuron
-   gives the same result as running each over all neurons in turn, and the
-   two backends agree cycle for cycle on every network whose values fit in
-   64 bits; the caller checks that before choosing this kernel.
+   gives the same result as running each over all neurons in turn. SETTLE
+   changes a charge only after its own threshold test, so the report
+   copied before the pass holds the compared values. The backends agree
+   cycle for cycle on every network whose values fit in 64 bits; the
+   caller checks that before choosing this kernel.
 
    "This cycle" needs no flags that must be cleared again: a synapse
    delivered in cycle t exactly when its last delivery stamp equals t, and
@@ -226,7 +231,7 @@ static void adjust(rk *k, int64_t j, int64_t delta)
 }
 
 /* One integration cycle. Appends the indices of the neurons that fired to
-   fired and writes the charges as compared against the thresholds, before
+   fired and copies the charges as compared against the thresholds, before
    the resting floors, to charges (n slots); either may be NULL. Returns the
    number of neurons that fired, or -1 when an allocation failed, after which
    the state is undefined and k may only be freed. */
@@ -284,8 +289,12 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
             k->acc[i] += k->ev_value[k->ev_cursor];
     }
 
-    /* SETTLE: threshold comparison and STDP, the report, then the resting
-       floors and the refractory bookkeeping */
+    /* The report */
+    if (charges && n)
+        memcpy(charges, k->acc, (size_t)n * sizeof *charges);
+
+    /* SETTLE: threshold comparison and STDP, then the resting floors and
+       the refractory bookkeeping */
     for (i = 0; i < n; i++) {
         if (k->acc[i] > k->threshold[i]) {
             k->pending[i] = 1;
@@ -304,9 +313,6 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
                     adjust(k, j, k->table[half + (t - k->last_exceed[i])]);
             }
         }
-
-        if (charges)
-            charges[i] = k->acc[i];
 
         if (k->phase[i] == PH_STD) {
             if (k->acc[i] < k->std_rest[i])

@@ -2,7 +2,9 @@
 
 Both the pure-Python engine and the compiled kernel run from the same
 flattened layout, so their cycle-by-cycle behaviour matches by
-construction of their inputs. Only the inner loops differ.
+construction of their inputs. Only the inner loops differ. A layout is
+read-only: no core writes to it, and each keeps its own state, the weights
+included.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from ..netmodel import HardwareConstants, Network, signed_range
 from .events import INJECTION, Events, Stimulus
 
 
-@dataclass
+@dataclass(frozen=True)
 class Layout:
     names: list[str]
 
@@ -27,10 +29,10 @@ class Layout:
     leak: Sequence[int]
 
     # Per-synapse settings, indexed by synapse declaration order. syn_weight
-    # is the layout's own list: the python core adjusts it in place.
+    # holds the initial weights; each core keeps its own live copy.
     syn_pre: list[int]
     syn_post: list[int]
-    syn_weight: list[int]
+    syn_weight: Sequence[int]
     syn_delay: Sequence[int]
 
     # Stimulus events as columns, stably sorted by cycle: the cycle, the
@@ -104,8 +106,7 @@ def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
     ev_cycle, ev_neuron, ev_kind, ev_value = stim.events.by_cycle().columns()
     amount = net.input_spike_amount
 
-    # The network's columns are immutable tuples and are shared; syn_weight
-    # is copied, since the python core adjusts it in place.
+    # The network's columns are immutable tuples and are shared.
     return Layout(
         names=list(neurons.name),
         threshold=neurons.threshold,
@@ -116,7 +117,7 @@ def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
         leak=neurons.leak,
         syn_pre=list(map(index.__getitem__, synapses.pre)),
         syn_post=list(map(index.__getitem__, synapses.post)),
-        syn_weight=list(synapses.weight),
+        syn_weight=synapses.weight,
         syn_delay=synapses.delay,
         ev_cycle=list(ev_cycle),
         ev_neuron=list(map(index.__getitem__, ev_neuron)),

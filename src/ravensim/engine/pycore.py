@@ -1,18 +1,9 @@
-"""Pure-Python cycle core.
+"""Pure-Python cycle core: the cycle of kernel.c, step by step.
 
-One integration cycle runs four phases in a fixed order:
-
-  FIRE    neurons flagged at the end of the previous cycle fire now; their
-          outgoing spikes are scheduled delay cycles ahead and their
-          accumulators reset
-  LEAK    accumulators above the active resting potential decay toward it
-  DELIVER scheduled spikes and this cycle's external stimuli add charge
-  SETTLE  threshold comparison, STDP weight adjustment, resting floors and
-          refractory bookkeeping
-
-This ordering is what makes zero-delay self-loops, leak-before-delivery
-and fire-at-beginning semantics come out right; the golden trace suite
-locks it down.
+FIRE then LEAK for each neuron, DELIVER, the charge report, then SETTLE for
+each neuron, with "this cycle" read from cycle stamps. The four phases are
+specified in README "Cycle model" and written out one by one in reference.py;
+kernel.c's header argues that these two passes run them exactly.
 """
 
 from __future__ import annotations
@@ -24,13 +15,14 @@ from .layout import Layout
 
 
 class PyEngine:
-    """The cycle core of the python backend. It runs on the columns of a
-    layout built for it alone: its syn_weight column is the live weights."""
+    """The cycle core of the python backend, over a read-only layout and
+    its own copy of the weights."""
 
     def __init__(self, layout: Layout, delivery_log: list[tuple[int, int, int]] | None = None):
         self.lay = layout
         self.n = n = len(layout.names)
         n_syn = len(layout.syn_pre)
+        self.weight = list(layout.syn_weight)
         self.weight_lo = -(1 << (layout.weight_width - 1))
         self.weight_hi = (1 << (layout.weight_width - 1)) - 1
         self.ring: list[list[int]] = [[] for _ in range(layout.ring_slots)]
@@ -47,11 +39,11 @@ class PyEngine:
         self.phase = [PHASE_STANDARD] * n
         self.phase_left = [0] * n
         self.pending = [False] * n
-        self.last_exceed: list[int | None] = [None] * n
-
-        self.syn_last_delivery: list[int | None] = [None] * n_syn
-        self.syn_delivered = [False] * n_syn
-        self.got_delivery = [False] * n
+        # Cycle stamps: the last cycle the charge exceeded the threshold, a
+        # synapse delivered to the neuron, and the synapse delivered.
+        self.last_exceed = [-1] * n
+        self.got_delivery = [-1] * n
+        self.syn_last_delivery = [-1] * n_syn
 
         self.cycle = 0
         # Appended (scheduled cycle, delivery cycle, synapse index) when given.
@@ -67,127 +59,106 @@ class PyEngine:
     def _cycle(self, blocks: TraceBlocks | None) -> None:
         t = self.cycle
         lay = self.lay
-        ring = self.ring
-        slots = lay.ring_slots
-        acc = self.acc
-        phase = self.phase
+        std_rest, ref_rest = lay.standard_resting, lay.refractory_resting
+        abs_ref, rel_ref, leak = lay.abs_refractory, lay.rel_refractory, lay.leak
+        acc, phase, phase_left, pending = self.acc, self.phase, self.phase_left, self.pending
+        ring, slots, delay = self.ring, lay.ring_slots, lay.syn_delay
+        weight, last_delivery, got = self.weight, self.syn_last_delivery, self.got_delivery
 
-        # FIRE
+        # FIRE, then LEAK, suspended during absolute refractory
         fired: list[int] = []
         for i in range(self.n):
-            if not self.pending[i]:
+            if pending[i]:
+                fired.append(i)
+                for j in self.out_synapses[i]:
+                    ring[(t + delay[j]) % slots].append(j)
+                acc[i] = ref_rest[i] if rel_ref[i] > 0 else std_rest[i]
+                if abs_ref[i] > 0:
+                    phase[i] = PHASE_ABSOLUTE
+                    phase_left[i] = abs_ref[i]
+                elif rel_ref[i] > 0:
+                    phase[i] = PHASE_RELATIVE
+                    phase_left[i] = rel_ref[i]
+                else:
+                    phase[i] = PHASE_STANDARD
+                    phase_left[i] = 0
+                pending[i] = False
+            if leak[i] <= 0 or phase[i] == PHASE_ABSOLUTE:
                 continue
-            fired.append(i)
-            for j in self.out_synapses[i]:
-                ring[(t + lay.syn_delay[j]) % slots].append(j)
-            if lay.rel_refractory[i] > 0:
-                acc[i] = lay.refractory_resting[i]
-            else:
-                acc[i] = lay.standard_resting[i]
-            if lay.abs_refractory[i] > 0:
-                phase[i] = PHASE_ABSOLUTE
-                self.phase_left[i] = lay.abs_refractory[i]
-            elif lay.rel_refractory[i] > 0:
-                phase[i] = PHASE_RELATIVE
-                self.phase_left[i] = lay.rel_refractory[i]
-            else:
-                phase[i] = PHASE_STANDARD
-                self.phase_left[i] = 0
-            self.pending[i] = False
-
-        # LEAK (suspended during absolute refractory)
-        for i in range(self.n):
-            amount = lay.leak[i]
-            if amount <= 0:
-                continue
-            ph = phase[i]
-            if ph == PHASE_STANDARD:
-                floor = lay.standard_resting[i]
-            elif ph == PHASE_RELATIVE:
-                floor = lay.refractory_resting[i]
-            else:
-                continue
+            floor = std_rest[i] if phase[i] == PHASE_STANDARD else ref_rest[i]
             if acc[i] > floor:
-                value = acc[i] - amount
+                value = acc[i] - leak[i]
                 acc[i] = value if value > floor else floor
 
         # DELIVER
-        delivered = ring[t % slots]
-        ring[t % slots] = []
-        log = self.delivery_log
-        for j in delivered:
-            self.syn_delivered[j] = True
-            self.syn_last_delivery[j] = t
-            post = lay.syn_post[j]
-            self.got_delivery[post] = True
+        now = ring[t % slots]
+        syn_post, log = lay.syn_post, self.delivery_log
+        for j in now:
+            last_delivery[j] = t
+            post = syn_post[j]
+            got[post] = t
             if log is not None:
-                log.append((t - lay.syn_delay[j], t, j))
+                log.append((t - delay[j], t, j))
             if phase[post] != PHASE_ABSOLUTE:
-                acc[post] += lay.syn_weight[j]
-        ev = self.ev_cursor
-        while ev < len(lay.ev_cycle) and lay.ev_cycle[ev] == t:
+                acc[post] += weight[j]
+        now.clear()
+        ev_cycle, ev = lay.ev_cycle, self.ev_cursor
+        while ev < len(ev_cycle) and ev_cycle[ev] == t:
             i = lay.ev_neuron[ev]
             if phase[i] != PHASE_ABSOLUTE:
                 acc[i] += lay.ev_value[ev]
             ev += 1
         self.ev_cursor = ev
 
-        # SETTLE
+        # The report: the charges as compared against the thresholds, which
+        # SETTLE reads before its resting floors change them.
+        if blocks is not None:
+            blocks.add(fired, acc)
+
+        # SETTLE: threshold comparison and STDP, then the resting floors and
+        # the refractory bookkeeping
+        threshold, last_exceed, pre_synapses = lay.threshold, self.last_exceed, self.pre_synapses
         table = lay.stdp_table
         tsize = len(table)
         stdp = lay.stdp_enabled and tsize > 0
         half = tsize // 2
         wlo, whi = self.weight_lo, self.weight_hi
         for i in range(self.n):
-            if acc[i] > lay.threshold[i]:
-                self.pending[i] = True
+            charge = acc[i]
+            if charge > threshold[i]:
+                pending[i] = True
                 if stdp:
-                    for j in self.pre_synapses[i]:
-                        last = self.syn_last_delivery[j]
-                        if last is None:
-                            continue
-                        k = half - (t - last)
-                        if k >= 0:
-                            w = lay.syn_weight[j] + table[k]
-                            lay.syn_weight[j] = wlo if w < wlo else (whi if w > whi else w)
-                self.last_exceed[i] = t
-            elif stdp and self.got_delivery[i] and self.last_exceed[i] is not None:
-                k = half + (t - self.last_exceed[i])
-                if k < tsize:
-                    for j in self.pre_synapses[i]:
-                        if self.syn_delivered[j]:
-                            w = lay.syn_weight[j] + table[k]
-                            lay.syn_weight[j] = wlo if w < wlo else (whi if w > whi else w)
+                    for j in pre_synapses[i]:
+                        last = last_delivery[j]
+                        if last >= 0 and half - (t - last) >= 0:
+                            w = weight[j] + table[half - (t - last)]
+                            weight[j] = wlo if w < wlo else (whi if w > whi else w)
+                last_exceed[i] = t
+            elif (stdp and got[i] == t and last_exceed[i] >= 0
+                    and half + (t - last_exceed[i]) < tsize):
+                delta = table[half + (t - last_exceed[i])]
+                for j in pre_synapses[i]:
+                    if last_delivery[j] == t:
+                        w = weight[j] + delta
+                        weight[j] = wlo if w < wlo else (whi if w > whi else w)
 
-        # Recorded charges are the compared values, before the floor below.
-        if blocks is not None:
-            blocks.add(fired, acc)
-
-        for i in range(self.n):
             ph = phase[i]
             if ph == PHASE_STANDARD:
-                if acc[i] < lay.standard_resting[i]:
-                    acc[i] = lay.standard_resting[i]
+                if charge < std_rest[i]:
+                    acc[i] = std_rest[i]
             elif ph == PHASE_RELATIVE:
-                if acc[i] < lay.refractory_resting[i]:
-                    acc[i] = lay.refractory_resting[i]
-                self.phase_left[i] -= 1
-                if self.phase_left[i] == 0:
+                if charge < ref_rest[i]:
+                    charge = acc[i] = ref_rest[i]
+                phase_left[i] -= 1
+                if phase_left[i] == 0:
                     phase[i] = PHASE_STANDARD
-                    if acc[i] < lay.standard_resting[i]:
-                        acc[i] = lay.standard_resting[i]
+                    if charge < std_rest[i]:
+                        acc[i] = std_rest[i]
             else:
-                self.phase_left[i] -= 1
-                if self.phase_left[i] == 0:
-                    if lay.rel_refractory[i] > 0:
-                        phase[i] = PHASE_RELATIVE
-                        self.phase_left[i] = lay.rel_refractory[i]
-                    else:
-                        phase[i] = PHASE_STANDARD
-
-        for j in delivered:
-            self.syn_delivered[j] = False
-            self.got_delivery[lay.syn_post[j]] = False
+                phase_left[i] -= 1
+                if phase_left[i] == 0:
+                    phase[i] = PHASE_RELATIVE if rel_ref[i] > 0 else PHASE_STANDARD
+                    phase_left[i] = rel_ref[i]
 
         self.cycle = t + 1
 
@@ -195,7 +166,7 @@ class PyEngine:
         return self.acc[:]
 
     def weights(self) -> list[int]:
-        return self.lay.syn_weight[:]
+        return self.weight[:]
 
     def phases(self) -> list[tuple[int, int]]:
         return list(zip(self.phase, self.phase_left))

@@ -3,7 +3,8 @@
 Every draw stays inside the hardware limits by construction, so generated
 setups always validate. Widths are kept small enough that the compiled
 kernel is eligible too. random_setup draws tiny networks of every shape;
-build_setup draws self-sustaining networks at the sizes the benchmark uses.
+build_setup draws self-sustaining networks at the sizes the benchmark uses,
+and mixed_setup networks at those sizes with every feature mixed in.
 malformed_documents writes random setups out as text and then breaks them,
 to drive the readers' error paths.
 """
@@ -136,6 +137,65 @@ def build_setup(n_neurons: int, fan_out: int, max_delay: int, stdp: bool,
     net = Network(tuple(neurons), tuple(synapses), stdp_enabled=stdp)
     stim = Stimulus(tuple(StimulusEvent(0, f"n{i}") for i in range(n_neurons)))
     return net, hw, stim
+
+
+def mixed_setup(n_neurons: int, fan_out: int, stdp: bool, cycles: int,
+                seed: int) -> tuple[Network, HardwareConstants, Stimulus]:
+    """A network at the sizes the benchmark uses with every feature mixed in.
+
+    Neurons draw leaks, both refractory kinds and resting values, and one in
+    four takes injections. Each has fan_out outgoing synapses with weights
+    of both signs and delays from 0 to 6. The hardware carries the 5-entry
+    STDP table (1, 2, 3, -2, -1); stdp only switches it on. The stimulus
+    spreads input spikes and injections over cycles.
+    """
+    rng = random.Random(seed)
+    neurons = []
+    for i in range(n_neurons):
+        neurons.append(NeuronSettings(
+            name=f"n{i}",
+            threshold=rng.randint(0, 6),
+            standard_resting=rng.randint(-4, 0),
+            refractory_resting=rng.randint(-6, 0),
+            abs_refractory=rng.choice((0, 0, 1, 2, 3)),
+            rel_refractory=rng.choice((0, 0, 1, 2, 3)),
+            leak=rng.randint(0, 3),
+            injection=rng.random() < 0.25,
+        ))
+    synapses = []
+    for i in range(n_neurons):
+        for _ in range(fan_out):
+            synapses.append(SynapseSettings(f"n{i}", f"n{rng.randrange(n_neurons)}",
+                                            rng.randint(-4, 7), rng.randint(0, 6)))
+
+    fan_in: dict[str, int] = {m.name: 0 for m in neurons}
+    for s in synapses:
+        fan_in[s.post] += 1
+    ports = max(fan_in.values()) + 4
+    hw = HardwareConstants(
+        accumulator_width=min_accumulator_width(4, ports, 4) + 4,
+        threshold_width=4,
+        weight_width=4,
+        max_delay=6,
+        max_leak=3,
+        max_abs_refractory=3,
+        max_rel_refractory=3,
+        ports=ports,
+        injection_ports=4,
+        stdp_table=(1, 2, 3, -2, -1),
+    )
+    net = Network(tuple(neurons), tuple(synapses), stdp_enabled=stdp, input_spike_amount=4)
+
+    injectable = [m.name for m in neurons if m.injection]
+    events = []
+    for cycle in range(cycles):
+        for _ in range(rng.randint(0, 4)):
+            if injectable and rng.random() < 0.3:
+                events.append(StimulusEvent(cycle, rng.choice(injectable),
+                                            INJECTION, rng.randint(-8, 7)))
+            else:
+                events.append(StimulusEvent(cycle, f"n{rng.randrange(n_neurons)}"))
+    return net, hw, Stimulus(tuple(events))
 
 
 # JSON values of every type, including the empty name, a float and an int

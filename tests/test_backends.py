@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ravensim
-from fuzz import FUZZ_CYCLES, build_setup, random_setup
+from fuzz import FUZZ_CYCLES, build_setup, mixed_setup, random_setup
 from ravensim import (
     HardwareConstants,
     Network,
@@ -258,6 +258,19 @@ def test_advance_equals_stepping(backend):
     assert advanced.run(0) == []
 
 
+@pytest.mark.parametrize("backend", ["python", COMPILED, "reference"])
+@pytest.mark.parametrize("count", [1 << 63, (1 << 64) + 5], ids=["2**63", "2**64+5"])
+def test_advance_refuses_counts_beyond_int64(backend, count):
+    # The kernel counts cycles in int64_t, where a larger count would wrap;
+    # every backend refuses one before running any cycle.
+    engine = new_engine(*build_setup(8, 2, 2, stdp=True, seed=3), backend=backend)
+    engine.advance(5)
+    state = (engine.cycle, engine.charges(), engine.weights(), engine.phases())
+    with pytest.raises(ValueError, match="cycle count"):
+        engine.advance(count)
+    assert (engine.cycle, engine.charges(), engine.weights(), engine.phases()) == state
+
+
 # The reference engine rescans every synapse per crossing, so it runs fewer cycles.
 TWIN_CYCLES = {"python": 200, "compiled": 1000, "reference": 50}
 
@@ -346,6 +359,23 @@ def test_compiled_matches_python_at_bench_scale(n_neurons, fan_out, max_delay, s
     assert ck.charges() == py.charges()
     assert ck.weights() == py.weights()
     assert ck.phases() == py.phases()
+
+
+@pytest.mark.parametrize("stdp", [False, True], ids=["stdp_off", "stdp_on"])
+@pytest.mark.parametrize("n_neurons, seed", [(32, 1), (48, 2), (64, 3)])
+def test_python_matches_reference_at_bench_shape(n_neurons, seed, stdp):
+    # Fan-out 8, delays from 0, leak, both refractory kinds, injections and
+    # a 5-entry STDP table of both signs, over 200 cycles.
+    net, hw, stim = mixed_setup(n_neurons, 8, stdp, 200, seed)
+    py = new_engine(net, hw, stim, backend="python")
+    ref = new_engine(net, hw, stim, backend="reference")
+    trace = py.run(200)
+    assert ref.run(200) == trace
+    assert sum(trace.counts) > 0
+    assert ref.charges() == py.charges()
+    assert ref.weights() == py.weights()
+    assert ref.phases() == py.phases()
+    assert (py.weights() != list(net.synapses.weight)) == stdp
 
 
 def overflow_setup(width: int, amount: int, stim_text: str):
