@@ -16,7 +16,6 @@ import struct
 import weakref
 from array import array
 from collections.abc import Sequence
-from itertools import chain
 from pathlib import Path
 
 from .events import zeros
@@ -97,8 +96,7 @@ def available() -> bool:
 
 def _int64s(*columns: Sequence[int]) -> bytes:
     """The columns end to end as native int64_t values, for the kernel to copy."""
-    values = list(chain.from_iterable(columns))
-    return struct.pack(f"{len(values)}q", *values)
+    return b"".join([struct.pack(f"{len(column)}q", *column) for column in columns])
 
 
 def _fires(status: int) -> int:

@@ -41,7 +41,18 @@
 
    The delivery ring keeps one growable slot per (cycle mod slots). A
    synapse enters a slot at most once before the slot drains, because its
-   delay is shorter than the ring. */
+   delay is shorter than the ring. A cycle takes one modulo: its slot is
+   base = cycle % slots, and a push with delay d goes to base + d, less
+   slots when that reaches slots.
+
+   rk_step copies every field and array pointer it reads into locals before
+   its loops and qualifies the arrays restrict. That holds because each
+   array is its own range of n or n_syn values (or of the table, the events
+   or a ring slot) that no other array overlaps, and none of them covers a
+   field of k. So a store through one array does not make the compiler
+   load the others, or k's fields, again. LEAK and the resting floors are
+   conditional expressions, which compile to conditional moves rather than
+   branches that go either way about half the time. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -138,8 +149,11 @@ void rk_free(rk *k)
    synapses holds four columns of n_syn values: pre, post, weight, delay.
    events holds three columns of n_ev values: cycle, neuron, value, with
    cycles non-decreasing. Every neuron index lies in [0, n), every delay in
-   [0, slots) and 1 <= weight_width <= 63. Returns NULL when an allocation
-   fails. */
+   [0, slots), every leak and refractory period is >= 0 (validate_network
+   checks all of these) and 1 <= weight_width <= 63. rk_step relies on the
+   signs: a leak of 0 leaves a charge as it is without a test, and a neuron
+   with neither refractory period has a relative period of exactly 0.
+   Returns NULL when an allocation fails. */
 rk *rk_new(int64_t n, const int64_t *neurons, int64_t n_syn, const int64_t *synapses,
            int64_t n_ev, const int64_t *events, int64_t slots,
            int64_t table_len, const int64_t *table, int64_t stdp, int64_t weight_width)
@@ -210,24 +224,26 @@ rk *rk_new(int64_t n, const int64_t *neurons, int64_t n_syn, const int64_t *syna
     return k;
 }
 
-static int push(slot *s, int64_t j)
+/* Doubles the capacity of s; -1 when that cannot be allocated. */
+static int grow(slot *s)
 {
-    if (s->size == s->cap) {
-        int64_t cap = s->cap ? 2 * s->cap : 8;
-        int64_t *data = realloc(s->data, (size_t)cap * sizeof *data);
-        if (!data)
-            return -1;
-        s->data = data;
-        s->cap = cap;
-    }
-    s->data[s->size++] = j;
+    int64_t cap = s->cap ? 2 * s->cap : 8;
+    int64_t *data = realloc(s->data, (size_t)cap * sizeof *data);
+    if (!data)
+        return -1;
+    s->data = data;
+    s->cap = cap;
     return 0;
 }
 
-static void adjust(rk *k, int64_t j, int64_t delta)
+/* Appends j to s. The rare growth is a function of its own, so that the
+   common case stays small enough to inline in the loops. */
+static int push(slot *s, int64_t j)
 {
-    int64_t w = k->syn_weight[j] + delta;
-    k->syn_weight[j] = w < k->weight_lo ? k->weight_lo : (w > k->weight_hi ? k->weight_hi : w);
+    if (s->size == s->cap && grow(s) < 0)
+        return -1;
+    s->data[s->size++] = j;
+    return 0;
 }
 
 /* One integration cycle. Appends the indices of the neurons that fired to
@@ -237,98 +253,117 @@ static void adjust(rk *k, int64_t j, int64_t delta)
    the state is undefined and k may only be freed. */
 static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
 {
-    const int64_t t = k->cycle, n = k->n, half = k->table_len / 2;
-    int64_t i, j, p, x, floor, value, count = 0;
-    slot *now;
+    const int64_t t = k->cycle, n = k->n, n_ev = k->n_ev, slots = k->slots;
+    const int64_t base = t % slots, table_len = k->table_len, half = table_len / 2;
+    const int64_t stdp = k->stdp, lo = k->weight_lo, hi = k->weight_hi;
+    const int64_t *restrict threshold = k->threshold, *restrict std_rest = k->std_rest,
+                  *restrict ref_rest = k->ref_rest, *restrict abs_ref = k->abs_ref,
+                  *restrict rel_ref = k->rel_ref, *restrict leak = k->leak,
+                  *restrict syn_post = k->syn_post, *restrict out_start = k->out_start,
+                  *restrict out_list = k->out_list, *restrict out_delay = k->out_delay,
+                  *restrict pre_start = k->pre_start, *restrict pre_list = k->pre_list,
+                  *restrict table = k->table, *restrict ev_cycle = k->ev_cycle,
+                  *restrict ev_neuron = k->ev_neuron, *restrict ev_value = k->ev_value;
+    int64_t *restrict acc = k->acc, *restrict phase = k->phase,
+            *restrict phase_left = k->phase_left, *restrict pending = k->pending,
+            *restrict last_exceed = k->last_exceed, *restrict got_delivery = k->got_delivery,
+            *restrict syn_weight = k->syn_weight,
+            *restrict syn_last_delivery = k->syn_last_delivery;
+    slot *restrict ring = k->ring;
+    const int64_t *restrict now;
+    int64_t i, j, p, x, e, s, a, ph, lk, fl, w, delta, last, size, count = 0;
 
-    /* FIRE, then LEAK, suspended during absolute refractory */
+    /* FIRE, then LEAK, suspended during absolute refractory. A fired neuron
+       rests at its floor, so LEAK leaves it as it is. */
     for (i = 0; i < n; i++) {
-        if (k->pending[i]) {
+        a = acc[i];
+        ph = phase[i];
+        if (pending[i]) {
             if (fired && push(fired, i) < 0)
                 return -1;
             count++;
-            for (x = k->out_start[i]; x < k->out_start[i + 1]; x++)
-                if (push(&k->ring[(t + k->out_delay[x]) % k->slots], k->out_list[x]) < 0)
+            for (x = out_start[i]; x < out_start[i + 1]; x++) {
+                s = base + out_delay[x];
+                s -= s >= slots ? slots : 0;
+                if (push(&ring[s], out_list[x]) < 0)
                     return -1;
-            k->acc[i] = k->rel_ref[i] > 0 ? k->ref_rest[i] : k->std_rest[i];
-            if (k->abs_ref[i] > 0) {
-                k->phase[i] = PH_ABS;
-                k->phase_left[i] = k->abs_ref[i];
-            } else if (k->rel_ref[i] > 0) {
-                k->phase[i] = PH_REL;
-                k->phase_left[i] = k->rel_ref[i];
-            } else {
-                k->phase[i] = PH_STD;
-                k->phase_left[i] = 0;
             }
-            k->pending[i] = 0;
+            a = rel_ref[i] > 0 ? ref_rest[i] : std_rest[i];
+            ph = abs_ref[i] > 0 ? PH_ABS : rel_ref[i] > 0 ? PH_REL : PH_STD;
+            phase[i] = ph;
+            phase_left[i] = abs_ref[i] > 0 ? abs_ref[i] : rel_ref[i];
+            pending[i] = 0;
         }
-        if (k->leak[i] <= 0 || k->phase[i] == PH_ABS)
-            continue;
-        floor = k->phase[i] == PH_STD ? k->std_rest[i] : k->ref_rest[i];
-        if (k->acc[i] > floor) {
-            value = k->acc[i] - k->leak[i];
-            k->acc[i] = value > floor ? value : floor;
-        }
+        lk = ph == PH_ABS ? 0 : leak[i];
+        fl = ph == PH_STD ? std_rest[i] : ref_rest[i];
+        /* a - lk only where a > fl, so it cannot overflow */
+        acc[i] = a > fl ? (a - lk > fl ? a - lk : fl) : a;
     }
 
     /* DELIVER */
-    now = &k->ring[t % k->slots];
-    for (x = 0; x < now->size; x++) {
-        j = now->data[x];
-        k->syn_last_delivery[j] = t;
-        p = k->syn_post[j];
-        k->got_delivery[p] = t;
-        if (k->phase[p] != PH_ABS)
-            k->acc[p] += k->syn_weight[j];
+    now = ring[base].data;
+    size = ring[base].size;
+    for (x = 0; x < size; x++) {
+        j = now[x];
+        syn_last_delivery[j] = t;
+        p = syn_post[j];
+        got_delivery[p] = t;
+        acc[p] += phase[p] == PH_ABS ? 0 : syn_weight[j];
     }
-    now->size = 0;
-    for (; k->ev_cursor < k->n_ev && k->ev_cycle[k->ev_cursor] == t; k->ev_cursor++) {
-        i = k->ev_neuron[k->ev_cursor];
-        if (k->phase[i] != PH_ABS)
-            k->acc[i] += k->ev_value[k->ev_cursor];
+    ring[base].size = 0;
+    for (e = k->ev_cursor; e < n_ev && ev_cycle[e] == t; e++) {
+        i = ev_neuron[e];
+        acc[i] += phase[i] == PH_ABS ? 0 : ev_value[e];
     }
+    k->ev_cursor = e;
 
     /* The report */
     if (charges && n)
-        memcpy(charges, k->acc, (size_t)n * sizeof *charges);
+        memcpy(charges, acc, (size_t)n * sizeof *charges);
 
     /* SETTLE: threshold comparison and STDP, then the resting floors and
        the refractory bookkeeping */
     for (i = 0; i < n; i++) {
-        if (k->acc[i] > k->threshold[i]) {
-            k->pending[i] = 1;
-            if (k->stdp)
-                for (x = k->pre_start[i]; x < k->pre_start[i + 1]; x++) {
-                    j = k->pre_list[x];
-                    if (k->syn_last_delivery[j] >= 0 && half - (t - k->syn_last_delivery[j]) >= 0)
-                        adjust(k, j, k->table[half - (t - k->syn_last_delivery[j])]);
+        a = acc[i];
+        if (a > threshold[i]) {
+            pending[i] = 1;
+            if (stdp)
+                for (x = pre_start[i]; x < pre_start[i + 1]; x++) {
+                    j = pre_list[x];
+                    last = syn_last_delivery[j];
+                    if (last >= 0 && half - (t - last) >= 0) {
+                        w = syn_weight[j] + table[half - (t - last)];
+                        syn_weight[j] = w < lo ? lo : w > hi ? hi : w;
+                    }
                 }
-            k->last_exceed[i] = t;
-        } else if (k->stdp && k->got_delivery[i] == t && k->last_exceed[i] >= 0
-                   && half + (t - k->last_exceed[i]) < k->table_len) {
-            for (x = k->pre_start[i]; x < k->pre_start[i + 1]; x++) {
-                j = k->pre_list[x];
-                if (k->syn_last_delivery[j] == t)
-                    adjust(k, j, k->table[half + (t - k->last_exceed[i])]);
+            last_exceed[i] = t;
+        } else if (stdp && got_delivery[i] == t && last_exceed[i] >= 0
+                   && half + (t - last_exceed[i]) < table_len) {
+            delta = table[half + (t - last_exceed[i])];
+            for (x = pre_start[i]; x < pre_start[i + 1]; x++) {
+                j = pre_list[x];
+                if (syn_last_delivery[j] == t) {
+                    w = syn_weight[j] + delta;
+                    syn_weight[j] = w < lo ? lo : w > hi ? hi : w;
+                }
             }
         }
 
-        if (k->phase[i] == PH_STD) {
-            if (k->acc[i] < k->std_rest[i])
-                k->acc[i] = k->std_rest[i];
-        } else if (k->phase[i] == PH_REL) {
-            if (k->acc[i] < k->ref_rest[i])
-                k->acc[i] = k->ref_rest[i];
-            if (--k->phase_left[i] == 0) {
-                k->phase[i] = PH_STD;
-                if (k->acc[i] < k->std_rest[i])
-                    k->acc[i] = k->std_rest[i];
+        /* No floor during absolute refractory. A relative period that ends
+           lifts the charge to the standard floor as well. */
+        ph = phase[i];
+        fl = ph == PH_STD ? std_rest[i] : ph == PH_REL ? ref_rest[i] : INT64_MIN;
+        a = a < fl ? fl : a;
+        if (ph != PH_STD && --phase_left[i] == 0) {
+            if (ph == PH_REL) {
+                phase[i] = PH_STD;
+                a = a < std_rest[i] ? std_rest[i] : a;
+            } else {
+                phase[i] = rel_ref[i] > 0 ? PH_REL : PH_STD;
+                phase_left[i] = rel_ref[i];
             }
-        } else if (--k->phase_left[i] == 0) {
-            k->phase[i] = k->rel_ref[i] > 0 ? PH_REL : PH_STD;
-            k->phase_left[i] = k->rel_ref[i];
         }
+        acc[i] = a;
     }
     k->cycle = t + 1;
     return count;

@@ -6,6 +6,7 @@ import hashlib
 import os
 import random
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -23,11 +24,13 @@ from ravensim import (
     available_backends,
     new_engine,
     new_reference_engine,
+    validate_network,
 )
 from ravensim.cli import EXIT_OK, main
 from ravensim.engine import INJECTION, Engine, Stimulus, StimulusEvent, compiled
 from ravensim.engine.compiled import available as kernel_available
 from ravensim.ioformats import load_stimulus, parse_trace_jsonl, save_hardware, save_network
+from ravensim.netmodel import signed_range
 
 # The kernel is built on first use wherever a C compiler is on PATH, so only
 # a missing compiler may skip the compiled backend's tests.
@@ -54,18 +57,35 @@ def test_kernel_builds_wherever_cc_exists():
 
 
 @needs_kernel
-def test_kernel_compiles_without_warnings():
-    flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-fsyntax-only"]
-    proc = subprocess.run(["cc", *flags, str(compiled._SOURCE)], capture_output=True, text=True)
+def test_kernel_compiles_without_warnings(tmp_path):
+    # Some warnings, such as an unused static function, need code generation,
+    # so the kernel is also built at -O2 as compiled.py builds it.
+    flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror"]
+    proc = subprocess.run(["cc", *flags, "-fsyntax-only", str(compiled._SOURCE)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(["cc", "-O2", *flags, "-shared", "-fPIC", "-o",
+                           str(tmp_path / "kernel.so"), str(compiled._SOURCE)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
+def test_int64s_packs_columns_end_to_end():
+    top = (1 << 63) - 1
+    columns = ([], [0, -1, top, -top], [], [-(1 << 63)], [5, -7], [])
+    assert compiled._int64s(*columns) == struct.pack(
+        "7q", *[value for column in columns for value in column])
+    assert compiled._int64s() == compiled._int64s([], []) == b""
+    assert compiled._int64s(range(3), (4,)) == struct.pack("4q", 0, 1, 2, 4)
+
+
 # Runs in a child process over a kernel library built elsewhere (argv[1]):
-# every golden and a 256-neuron STDP network, compiled against python.
-# Exit 77 when the library cannot be loaded here.
+# every golden, a 256-neuron STDP network and a 64-neuron network with every
+# feature, compiled against python. Exit 77 when the library cannot be
+# loaded here.
 SANITIZED_RUN = """
 import sys
-from fuzz import build_setup
+from fuzz import build_setup, mixed_setup
 from ravensim import goldens, new_engine
 from ravensim.engine import compiled
 
@@ -77,6 +97,7 @@ compiled._library = lambda: lib
 setups = [(case.name, case.network, case.hardware, case.stimulus, case.cycles)
           for case in goldens.discover_cases()]
 setups.append(("stdp_256", *build_setup(256, 8, 4, stdp=True, seed=7), 300))
+setups.append(("mixed_64", *mixed_setup(64, 8, True, 200, seed=3), 200))
 for name, net, hw, stim, cycles in setups:
     py = new_engine(net, hw, stim, backend="python")
     ck = new_engine(net, hw, stim, backend="compiled")
@@ -111,7 +132,7 @@ def test_kernel_has_no_undefined_behaviour(tmp_path, golden_cases):
     if proc.returncode == 77:
         pytest.skip("the sanitizer runtime cannot be loaded here")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{len(golden_cases) + 1} setups\n"
+    assert proc.stdout == f"{len(golden_cases) + 2} setups\n"
     assert "runtime error" not in proc.stderr
 
 
@@ -378,6 +399,24 @@ def test_python_matches_reference_at_bench_shape(n_neurons, seed, stdp):
     assert (py.weights() != list(net.synapses.weight)) == stdp
 
 
+@pytest.mark.parametrize("other", ["python", "reference"])
+@pytest.mark.parametrize("stdp", [False, True], ids=["stdp_off", "stdp_on"])
+@pytest.mark.parametrize("n_neurons, seed", [(32, 1), (48, 2), (64, 3)])
+@needs_kernel
+def test_compiled_matches_other_backends_on_every_feature(n_neurons, seed, stdp, other):
+    # The networks of test_python_matches_reference_at_bench_shape: leaks,
+    # negative restings, both refractory kinds, injections and STDP.
+    net, hw, stim = mixed_setup(n_neurons, 8, stdp, 200, seed)
+    ck = new_engine(net, hw, stim, backend="compiled")
+    ref = new_engine(net, hw, stim, backend=other)
+    trace = ck.run(200)
+    assert ref.run(200) == trace
+    assert sum(trace.counts) > 0
+    assert ck.charges() == ref.charges()
+    assert ck.weights() == ref.weights()
+    assert ck.phases() == ref.phases()
+
+
 def overflow_setup(width: int, amount: int, stim_text: str):
     hw = HardwareConstants(
         accumulator_width=width, threshold_width=4, weight_width=4, max_delay=2,
@@ -422,3 +461,23 @@ def test_values_beyond_int64_stay_on_python(name, tmp_path, capsys):
         fits = overflow_setup(width, amount, stim_text.splitlines()[0])
         assert new_engine(*fits).backend == "compiled"
 
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the validator bounds one cycle of synaptic input from zero "
+                   "and ignores duplicate stimulus events")
+@pytest.mark.parametrize("backend", ["python", COMPILED, "reference"])
+def test_charges_stay_inside_the_accumulator_width(backend):
+    # The network validates, yet two input spikes of 7 in one cycle charge
+    # the neuron to 14, outside the 4-bit accumulator's [-8, 7]. A validator
+    # that refuses the network closes the gap as well.
+    hw = HardwareConstants(
+        accumulator_width=4, threshold_width=3, weight_width=3, max_delay=1,
+        max_leak=1, max_abs_refractory=1, max_rel_refractory=1, ports=1,
+        injection_ports=0)
+    net = Network((NeuronSettings("a", threshold=1),), (), input_spike_amount=7)
+    if not validate_network(net, hw).ok:
+        return
+    engine = new_engine(net, hw, load_stimulus("AS 0 a\nAS 0 a\n", net, hw), backend=backend)
+    lo, hi = signed_range(hw.accumulator_width)
+    for report in engine.run(3):
+        assert all(lo <= charge <= hi for charge in report.charges.values()), report
