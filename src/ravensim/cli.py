@@ -19,11 +19,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
-from . import goldens
 from .engine import BACKENDS, new_engine
-from .ioformats import FormatError, format_trace, load_hardware, load_stimulus, parse_network
+from .ioformats import format_trace, load_hardware, load_stimulus, parse_network, read_text
 from .netmodel import ValidationError, resource_report, validate_network
 
 EXIT_OK = 0
@@ -31,16 +29,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e.strerror}") from None
-
-
 def _load_pair(hw_path: str, net_path: str):
-    hw = load_hardware(_read(hw_path))
-    net = parse_network(_read(net_path))
+    hw = load_hardware(read_text(hw_path))
+    net = parse_network(read_text(net_path))
     return hw, net
 
 
@@ -72,7 +63,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_run(args) -> int:
     hw, net = _load_pair(args.hw, args.net)
-    stim = load_stimulus(_read(args.stim), net, hw)
+    stim = load_stimulus(read_text(args.stim), net, hw)
     engine = new_engine(net, hw, stim, backend=args.backend)
     trace = engine.run(args.cycles)
     sys.stdout.write(format_trace(trace, mode=args.format))
@@ -80,6 +71,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_golden(args) -> int:
+    from . import goldens  # only this command reads the fixture tree
+
     started = time.perf_counter()
     cases = goldens.discover_cases(args.fixtures)
     passed = 0

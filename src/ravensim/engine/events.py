@@ -185,7 +185,8 @@ class Trace(Sequence[CycleReport]):
         index = {name: i for i, name in enumerate(names)}
         cycles, fired, counts, charges = [], [], [], []
         for rep in reports:
-            if rep.charges.keys() != index.keys():
+            ordered = tuple(rep.charges) == names  # then its values are the row as they stand
+            if not ordered and rep.charges.keys() != index.keys():
                 raise ValueError(f"cycle {rep.cycle}: charges must name the neurons "
                                  "of the first cycle and no others")
             missing = next((name for name in rep.fired if name not in index), None)
@@ -194,7 +195,7 @@ class Trace(Sequence[CycleReport]):
             cycles.append(rep.cycle)
             fired += [index[name] for name in rep.fired]
             counts.append(len(rep.fired))
-            charges += [rep.charges[name] for name in names]
+            charges += rep.charges.values() if ordered else [rep.charges[n] for n in names]
         return cls(names, cycles, array("q", fired), array("q", counts), int64_block(charges))
 
     def rows(self) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .engine import CycleReport, new_engine
+from .engine import CycleReport, Trace, new_engine
 from .ioformats import (
     FormatError,
     _field,
@@ -24,6 +24,7 @@ from .ioformats import (
     load_network,
     load_stimulus,
     parse_trace_jsonl,
+    read_text,
 )
 from .netmodel import HardwareConstants, Network
 from .engine.events import Stimulus
@@ -37,7 +38,7 @@ class GoldenCase:
     network: Network
     stimulus: Stimulus
     cycles: int
-    expected: tuple[CycleReport, ...]
+    expected: Trace
     notes: str
 
 
@@ -65,9 +66,7 @@ def load_case(case_dir: Path | str) -> GoldenCase:
     case_dir = Path(case_dir)
     manifest_path = case_dir / "case.json"
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except FileNotFoundError:
-        raise FormatError(f"{case_dir}: no case.json manifest") from None
+        manifest = json.loads(read_text(manifest_path))
     except json.JSONDecodeError as e:
         raise FormatError(f"{manifest_path}: {e.msg}") from None
     if not isinstance(manifest, dict):
@@ -75,12 +74,9 @@ def load_case(case_dir: Path | str) -> GoldenCase:
     where = str(manifest_path)
     cycles = _field(manifest, "cycles", None, int, where)
     name = _field(manifest, "name", None, str, where)
-    try:
-        hw_text, net_text, stim_text, expected_text = (
-            (case_dir / _field(manifest, key, None, str, where)).read_text()
-            for key in ("hardware", "network", "stimulus", "expected"))
-    except OSError as e:
-        raise FormatError(f"{manifest_path}: cannot read {e.filename}: {e.strerror}") from None
+    hw_text, net_text, stim_text, expected_text = (
+        read_text(case_dir / _field(manifest, key, None, str, where))
+        for key in ("hardware", "network", "stimulus", "expected"))
     hw = load_hardware(hw_text)
     net = load_network(net_text, hw)
     return GoldenCase(
@@ -90,7 +86,7 @@ def load_case(case_dir: Path | str) -> GoldenCase:
         network=net,
         stimulus=load_stimulus(stim_text, net, hw),
         cycles=cycles,
-        expected=tuple(parse_trace_jsonl(expected_text)),
+        expected=parse_trace_jsonl(expected_text),
         notes=_field(manifest, "notes", "", str, where),
     )
 
@@ -110,19 +106,24 @@ def discover_cases(fixtures_dir: Path | str | None = None) -> list[GoldenCase]:
 
 def compare_traces(expected: Sequence[CycleReport],
                    actual: Sequence[CycleReport]) -> list[TraceDiff]:
-    """Cell-by-cell diff; ordered by cycle, fire sets before charges."""
+    """Cell-by-cell diff of two traces' columns, matching neurons by name; ordered
+    by cycle, fire sets before charges. Both sides go through Trace.of, so a list of
+    reports that names other neurons in some cycle, or fires an uncharged one, raises ValueError."""
+    expected, actual = Trace.of(expected), Trace.of(actual)
+    names = expected.names
+    column = {name: j for j, name in enumerate(actual.names)}
+    at = [column.get(name) for name in names]  # None: no actual column
     diffs: list[TraceDiff] = []
-    for exp, got in zip(expected, actual):
-        exp_fired, got_fired = set(exp.fired), set(got.fired)
-        if exp_fired != got_fired:
-            for name in sorted(exp_fired | got_fired):
-                if (name in exp_fired) != (name in got_fired):
-                    diffs.append(TraceDiff(exp.cycle, name, "fired",
-                                           name in exp_fired, name in got_fired))
-        for name, value in exp.charges.items():
-            actual_value = got.charges.get(name)
+    rows = zip(expected.rows(), actual.rows())
+    for (cycle, exp_fired, exp_charges), (_, got_fired, got_charges) in rows:
+        exp_set = {names[i] for i in exp_fired}
+        got_set = {actual.names[i] for i in got_fired}
+        for name in sorted(exp_set ^ got_set):
+            diffs.append(TraceDiff(cycle, name, "fired", name in exp_set, name in got_set))
+        for name, value, j in zip(names, exp_charges, at):
+            actual_value = None if j is None else got_charges[j]
             if actual_value != value:
-                diffs.append(TraceDiff(exp.cycle, name, "charge", value, actual_value))
+                diffs.append(TraceDiff(cycle, name, "charge", value, actual_value))
     if len(actual) != len(expected):
         diffs.append(TraceDiff(min(len(actual), len(expected)), "*", "length",
                                len(expected), len(actual)))

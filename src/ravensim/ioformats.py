@@ -16,6 +16,7 @@ lines, one object per cycle, suitable for machine comparison.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Container, Sequence
 from itertools import chain, repeat
 from operator import itemgetter
@@ -37,6 +38,19 @@ FORMAT_VERSION = 1
 
 class FormatError(ValueError):
     """Malformed input: bad syntax, wrong type, or an unknown name/key."""
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """The text of the file at path; one that cannot be read or is not UTF-8
+    raises a FormatError that names it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"cannot read {path}: not UTF-8 text "
+                          f"({e.reason} at byte {e.start})") from None
 
 
 def _parse_json(text: str) -> Any:
@@ -311,23 +325,25 @@ def save_stimulus(stim: Stimulus) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _table_trace(trace: list[CycleReport]) -> str:
+def _int_width(title: str, column: Sequence[int]) -> int:
+    """The width of a column of integers: its widest cell is its least or greatest value."""
+    return max(len(title), len(str(min(column))), len(str(max(column))))
+
+
+def _table_trace(trace: Trace) -> str:
     if not trace:
         return ""
-    names = list(trace[0].charges.keys())
-    header = ["cycle", "fired"] + names
-    rows = []
-    for rep in trace:
-        fired = ", ".join(rep.fired) if rep.fired else "-"
-        rows.append([str(rep.cycle), fired] + [str(rep.charges[n]) for n in names])
-    widths = [max(len(header[c]), max(len(r[c]) for r in rows)) for c in range(len(header))]
-    out = []
-    out.append(" | ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    out.append("-+-".join("-" * w for w in widths))
-    for r in rows:
-        cells = [r[0].rjust(widths[0]), r[1].ljust(widths[1])]
-        cells += [v.rjust(w) for v, w in zip(r[2:], widths[2:])]
-        out.append(" | ".join(cells).rstrip())
+    names = trace.names
+    rows = [(cycle, ", ".join([names[i] for i in fired]) or "-", *charges)
+            for cycle, fired, charges in trace.rows()]
+    cycles, fired, *charges = zip(*rows)
+    header = ["cycle", "fired", *names]
+    widths = [_int_width("cycle", cycles), max(len("fired"), *map(len, fired)),
+              *map(_int_width, names, charges)]
+    line = " | ".join([f"%{widths[0]}d", f"%-{widths[1]}s", *(f"%{w}d" for w in widths[2:])])
+    out = [" | ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
+           "-+-".join("-" * w for w in widths)]
+    out += [(line % row).rstrip() for row in rows]
     return "\n".join(out) + "\n"
 
 
@@ -343,17 +359,17 @@ def _jsonl_trace(trace: Trace) -> str:
 
 def format_trace(trace: Sequence[CycleReport], mode: str = "table") -> str:
     """Render a trace, or a list of cycle reports, as an aligned table or as
-    JSON lines. The JSON lines are written from the columns of Trace.of(trace),
-    so a list of reports must name the same neurons in every cycle."""
-    if mode == "table":
-        return _table_trace(list(trace))
-    if mode == "jsonl":
-        return _jsonl_trace(Trace.of(trace))
-    raise ValueError(f"unknown trace mode: {mode}")
+    JSON lines. Both are written from the columns of Trace.of(trace), so a
+    list of reports must name the same neurons in every cycle."""
+    if mode not in ("table", "jsonl"):
+        raise ValueError(f"unknown trace mode: {mode}")
+    trace = Trace.of(trace)
+    return _table_trace(trace) if mode == "table" else _jsonl_trace(trace)
 
 
-def parse_trace_jsonl(text: str) -> list[CycleReport]:
-    """Parse JSON-lines trace output back into cycle reports."""
+def parse_trace_jsonl(text: str) -> Trace:
+    """Parse JSON-lines trace output into a Trace, in the first line's neuron order.
+    Every line must charge exactly the first line's neurons, and every neuron it fires."""
     reports = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -375,5 +391,11 @@ def parse_trace_jsonl(text: str) -> list[CycleReport]:
         for name, value in charges.items():
             if type(value) is not int:
                 raise FormatError(f"{where}: charge for \"{name}\" must be an integer")
-        reports.append(CycleReport(cycle=cycle, fired=tuple(fired), charges=dict(charges)))
-    return reports
+        if reports and charges.keys() != reports[0].charges.keys():
+            raise FormatError(f"{where}: charges must name the neurons of the first line "
+                              "and no others")
+        missing = next((name for name in fired if name not in charges), None)
+        if missing is not None:
+            raise FormatError(f"{where}: fired neuron {missing!r} has no charge")
+        reports.append(CycleReport(cycle=cycle, fired=tuple(fired), charges=charges))
+    return Trace.of(reports)

@@ -69,7 +69,7 @@ def test_run_emits_expected_trace(case_paths, capsys):
     out, err = capsys.readouterr()
     assert code == EXIT_OK
     assert err == ""
-    assert tuple(parse_trace_jsonl(out)) == case.expected
+    assert parse_trace_jsonl(out) == case.expected
 
 
 def run_argv(case_paths, stim=None):
@@ -188,9 +188,33 @@ def test_missing_file_exits_2(case_paths, capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, case_paths, capsys):
+    stim = tmp_path / "stimulus.txt"
+    stim.write_bytes(b"AS 0 Main\n\xff\n")
+    assert main(run_argv(case_paths, str(stim))) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot read {stim}: not UTF-8 text (invalid start byte at byte 10)\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main(["--help"]) == EXIT_OK
+
+
+def test_cli_import_leaves_the_golden_modules_unloaded():
+    # Only `ravensim golden` needs the fixture tree and its readers.
+    code = "import sys, ravensim.cli; print(' '.join(sorted(sys.modules)))"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    loaded = proc.stdout.split()
+    assert "ravensim.cli" in loaded
+    assert "ravensim.goldens" not in loaded and "ravensim.reconstruct" not in loaded
+    import ravensim.cli as cli
+    for name in ("main", "load_hardware", "parse_network", "validate_network",
+                 "load_stimulus", "new_engine", "format_trace"):
+        assert callable(getattr(cli, name)), name
 
 
 def test_golden_all_pass(capsys):
@@ -229,6 +253,8 @@ BROKEN_FIXTURES = {
     "file_key_not_a_string": 'key "hardware" must be a string, got 5',
     "name_not_a_string": "key \"name\" must be a string, got ['x']",
     "notes_not_a_string": 'key "notes" must be a string, got 1',
+    "manifest_is_a_directory": "case.json: Is a directory",
+    "member_not_utf8": "stimulus.txt: not UTF-8 text (invalid start byte at byte 8)",
 }
 
 
@@ -237,6 +263,13 @@ def broken_fixtures(tmp_path, cases_by_name, fault):
         return tmp_path / "no_such_directory"
     dest = tmp_path / "fixtures" / "network_1_basic"
     shutil.copytree(cases_by_name["network_1_basic"].root, dest)
+    if fault == "manifest_is_a_directory":
+        (dest / "case.json").unlink()
+        (dest / "case.json").mkdir()
+        return dest.parent
+    if fault == "member_not_utf8":
+        (dest / "stimulus.txt").write_bytes(b"AS 0 In\n\xff\n")
+        return dest.parent
     manifest = json.loads((dest / "case.json").read_text())
     if fault == "no_hardware_key":
         del manifest["hardware"]

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 import shutil
 
 import pytest
 
-from ravensim import goldens
+from fuzz import mixed_setup
+from ravensim import goldens, new_engine
+from ravensim.engine import CycleReport, Trace
 
 EXPECTED_CASES = [
     "network_1_basic",
@@ -75,6 +78,81 @@ def test_compare_traces_flags_missing_cycles(cases_by_name):
     truncated = list(case.expected[:-2])
     diffs = goldens.compare_traces(case.expected, truncated)
     assert any(d.field == "length" for d in diffs)
+
+
+def reference_compare(expected, actual) -> list[goldens.TraceDiff]:
+    """The report-by-report diff the columnar compare_traces replaced."""
+    diffs = []
+    for exp, got in zip(expected, actual):
+        exp_fired, got_fired = set(exp.fired), set(got.fired)
+        if exp_fired != got_fired:
+            for name in sorted(exp_fired | got_fired):
+                if (name in exp_fired) != (name in got_fired):
+                    diffs.append(goldens.TraceDiff(exp.cycle, name, "fired",
+                                                   name in exp_fired, name in got_fired))
+        for name, value in exp.charges.items():
+            actual_value = got.charges.get(name)
+            if actual_value != value:
+                diffs.append(goldens.TraceDiff(exp.cycle, name, "charge", value, actual_value))
+    if len(actual) != len(expected):
+        diffs.append(goldens.TraceDiff(min(len(actual), len(expected)), "*", "length",
+                                       len(expected), len(actual)))
+    return diffs
+
+
+def corruptions(trace: Trace, rng: random.Random) -> dict[str, list[CycleReport]]:
+    """Seeded copies of the reports of trace: with fires flipped, with charges
+    edited, cut short by two cycles, and untouched."""
+    names = trace.names
+
+    def copy():
+        return [CycleReport(rep.cycle, rep.fired, dict(rep.charges)) for rep in trace]
+
+    flipped = copy()
+    for _ in range(4):
+        i, flip = rng.randrange(len(flipped)), rng.choice(names)
+        rep = flipped[i]
+        fired = tuple(name for name in names if (name in rep.fired) != (name == flip))
+        flipped[i] = CycleReport(rep.cycle, fired, rep.charges)
+    edited = copy()
+    for _ in range(5):
+        edited[rng.randrange(len(edited))].charges[rng.choice(names)] += rng.choice((-3, 1, 7))
+    return {"flipped": flipped, "edited": edited, "truncated": copy()[:-2], "untouched": copy()}
+
+
+def test_columnar_diff_matches_the_report_by_report_diff(golden_cases):
+    rng = random.Random(13)
+    pairs = []
+    for case in golden_cases:
+        engine = new_engine(case.network, case.hardware, case.stimulus)
+        pairs.append((case.expected, engine.run(case.cycles)))
+    net, hw, stim = mixed_setup(32, 8, True, 100, seed=4)
+    mixed = new_engine(net, hw, stim).run(100)
+    pairs.append((mixed, mixed))
+    found = set()
+    for expected, trace in pairs:
+        assert isinstance(expected, Trace)
+        # The same cells with the neurons listed in the reverse order.
+        backwards = [CycleReport(rep.cycle, rep.fired, dict(reversed(rep.charges.items())))
+                     for rep in expected]
+        for kind, actual in corruptions(trace, rng).items():
+            for a, b in ((expected, actual), (actual, expected), (backwards, actual),
+                         (actual, backwards)):
+                diffs = goldens.compare_traces(a, b)
+                assert diffs == reference_compare(a, b)
+                found |= {(kind, diff.field) for diff in diffs}
+    assert found == {("flipped", "fired"), ("edited", "charge"), ("truncated", "length")}
+
+
+def test_diff_needs_one_neuron_set_per_trace():
+    good = [CycleReport(0, (), {"A": 0, "B": 0}), CycleReport(1, ("A",), {"A": 5, "B": 0})]
+    mixed = [good[0], CycleReport(1, (), {"A": 5})]
+    uncharged = [good[0], CycleReport(1, ("C",), {"A": 5, "B": 0})]
+    for bad, message in ((mixed, "cycle 1: charges must name the neurons of the first cycle"),
+                         (uncharged, "cycle 1: fired neuron 'C' has no charge")):
+        for a, b in ((good, bad), (bad, good)):
+            with pytest.raises(ValueError, match=message):
+                goldens.compare_traces(a, b)
 
 
 def test_load_case_requires_manifest(tmp_path):

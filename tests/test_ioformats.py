@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from fuzz import malformed_documents
+from fuzz import malformed_documents, mixed_setup
 from ravensim import HardwareConstants, Network, NeuronSettings, SynapseSettings, new_engine
 from ravensim.engine import INJECTION, INPUT_SPIKE, CycleReport, Stimulus, StimulusEvent, Trace
 from ravensim.ioformats import (
@@ -427,12 +427,67 @@ def test_jsonl_on_empty_quiet_and_wide_traces():
     assert format_trace(no_neurons, "jsonl") == reference_jsonl(no_neurons)
 
 
+def reference_table(reports) -> str:
+    """The row-by-row table renderer the columnar one replaced."""
+    if not reports:
+        return ""
+    names = list(reports[0].charges.keys())
+    header = ["cycle", "fired"] + names
+    rows = []
+    for rep in reports:
+        fired = ", ".join(rep.fired) if rep.fired else "-"
+        rows.append([str(rep.cycle), fired] + [str(rep.charges[n]) for n in names])
+    widths = [max(len(header[c]), max(len(r[c]) for r in rows)) for c in range(len(header))]
+    out = []
+    out.append(" | ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+    out.append("-+-".join("-" * w for w in widths))
+    for r in rows:
+        cells = [r[0].rjust(widths[0]), r[1].ljust(widths[1])]
+        cells += [v.rjust(w) for v, w in zip(r[2:], widths[2:])]
+        out.append(" | ".join(cells).rstrip())
+    return "\n".join(out) + "\n"
+
+
+def test_columnar_table_matches_the_row_by_row_table():
+    net, hw, stim = mixed_setup(48, 8, True, 100, seed=5)
+    traces = [
+        odd_trace(12),
+        odd_trace(0),
+        new_engine(net, hw, stim).run(100),
+        TRACE,
+        # No neurons; charges beyond 64 bits; cycle numbers of every width.
+        [CycleReport(0, (), {}), CycleReport(1, (), {})],
+        [CycleReport(123456, ("B",), {"A": 1 << 70, "B": -(1 << 70)}),
+         CycleReport(-7, ("A", "B"), {"A": -1, "B": 5})],
+        [CycleReport(t, (), {"long name": -t * 1000, "x": t}) for t in range(12)],
+    ]
+    for trace in traces:
+        reports = list(trace)
+        assert format_trace(trace) == format_trace(reports) == reference_table(reports)
+
+
 def test_jsonl_needs_one_neuron_set_per_list():
+    # The table as well: both formats write from the columns of Trace.of.
     mixed = [CycleReport(0, (), {"A": 0}), CycleReport(1, (), {"A": 0, "B": 1})]
-    with pytest.raises(ValueError, match="cycle 1: charges must name the neurons of the first"):
-        format_trace(mixed, "jsonl")
-    with pytest.raises(ValueError, match="cycle 0: fired neuron 'B' has no charge"):
-        format_trace([CycleReport(0, ("B",), {"A": 0})], "jsonl")
+    for mode in ("table", "jsonl"):
+        with pytest.raises(ValueError, match="cycle 1: charges must name the neurons of the first"):
+            format_trace(mixed, mode)
+        with pytest.raises(ValueError, match="cycle 0: fired neuron 'B' has no charge"):
+            format_trace([CycleReport(0, ("B",), {"A": 0})], mode)
+
+
+def test_parse_trace_jsonl_returns_a_trace():
+    text = format_trace(TRACE, "jsonl")
+    trace = parse_trace_jsonl("\n" + text.replace("\n", "\n\n"))
+    assert isinstance(trace, Trace)
+    assert trace.names == ("A", "Out") and trace == TRACE
+    # Lines may list the neurons in any order; the first line's is the trace's.
+    lines = ['{"cycle": 0, "fired": [], "charges": {"B": 1, "A": 2}}',
+             '{"cycle": 1, "fired": ["A"], "charges": {"A": 3, "B": 4}}']
+    trace = parse_trace_jsonl("\n".join(lines))
+    assert trace.names == ("B", "A") and list(trace.charges) == [1, 2, 4, 3]
+    assert list(trace.fired) == [1]
+    assert parse_trace_jsonl("") == [] and parse_trace_jsonl("").names == ()
 
 
 def test_parse_trace_jsonl_rejects_malformed_lines():
@@ -444,3 +499,15 @@ def test_parse_trace_jsonl_rejects_malformed_lines():
         parse_trace_jsonl('{"cycle": 0, "fired": "A", "charges": {}}')
     with pytest.raises(FormatError, match="must be an integer"):
         parse_trace_jsonl('{"cycle": 0, "fired": [], "charges": {"A": 0.5}}')
+    with pytest.raises(FormatError, match='^trace line 1: charge for "B" must be an integer$'):
+        parse_trace_jsonl('{"cycle": 0, "fired": [], "charges": {"A": 1, "B": true}}')
+    first = '{"cycle": 0, "fired": [], "charges": {"A": 0, "B": 1}}\n\n'
+    for charges in ('{"A": 0}', '{"A": 0, "B": 1, "C": 2}', '{"A": 0, "C": 1}'):
+        line = '{"cycle": 1, "fired": [], "charges": %s}' % charges
+        with pytest.raises(FormatError, match="^trace line 3: charges must name the neurons "
+                                              "of the first line and no others$"):
+            parse_trace_jsonl(first + line)
+    with pytest.raises(FormatError, match="^trace line 3: fired neuron 'C' has no charge$"):
+        parse_trace_jsonl(first + '{"cycle": 1, "fired": ["A", "C"], "charges": {"A": 0, "B": 1}}')
+    with pytest.raises(FormatError, match="^trace line 1: fired neuron 'A' has no charge$"):
+        parse_trace_jsonl('{"cycle": 0, "fired": ["A"], "charges": {}}')

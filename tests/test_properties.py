@@ -8,9 +8,12 @@ shared seeded generator, so failures reproduce.
 from __future__ import annotations
 
 import random
+import shutil
 from dataclasses import replace
 
-from fuzz import FUZZ_CYCLES, random_setup
+import pytest
+
+from fuzz import FUZZ_CYCLES, mixed_setup, random_setup
 from ravensim import new_engine
 from ravensim.engine import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD
 from ravensim.ioformats import format_trace
@@ -139,3 +142,43 @@ def test_report_shape_invariants():
         for rep in trace:
             assert list(rep.charges.keys()) == names
             assert set(rep.fired) <= set(names)
+
+
+# Metamorphic relations: a relabelled input must give the relabelled output,
+# which catches index-mapping and slot-ordering faults that every backend
+# could share through Layout, with no oracle needed.
+@pytest.mark.parametrize("stdp", [False, True], ids=["stdp_off", "stdp_on"])
+@pytest.mark.parametrize("n_neurons, seed", [(32, 11), (48, 12)])
+@pytest.mark.parametrize("backend", ["python", "compiled", "reference"])
+def test_permuting_declarations_permutes_the_outputs(backend, n_neurons, seed, stdp):
+    if backend == "compiled" and shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc)")
+    net, hw, stim = mixed_setup(n_neurons, 8, stdp, 100, seed)
+    rng = random.Random(seed)
+    order = rng.sample(range(n_neurons), n_neurons)  # new position k holds neuron order[k]
+    where = {old: new for new, old in enumerate(order)}
+    links = rng.sample(range(len(net.synapses)), len(net.synapses))
+    engine = new_engine(net, hw, stim, backend=backend)
+    by_neuron = new_engine(replace(net, neurons=[net.neurons[i] for i in order]), hw, stim,
+                           backend=backend)
+    by_synapse = new_engine(replace(net, synapses=[net.synapses[j] for j in links]), hw, stim,
+                            backend=backend)
+    trace, neuron_trace, synapse_trace = (e.run(100) for e in (engine, by_neuron, by_synapse))
+    assert sum(trace.counts) > 0
+
+    assert neuron_trace.names == tuple(trace.names[i] for i in order)
+    rows = zip(trace.rows(), neuron_trace.rows())
+    for (cycle, fired, charges), (n_cycle, n_fired, n_charges) in rows:
+        assert n_cycle == cycle
+        assert list(n_fired) == sorted(where[i] for i in fired)
+        assert list(n_charges) == [charges[i] for i in order]
+    charges, phases = list(engine.charges().items()), engine.phases()
+    assert list(by_neuron.charges().items()) == [charges[i] for i in order]
+    assert by_neuron.phases() == [phases[i] for i in order]
+    assert by_neuron.weights() == engine.weights()
+
+    assert (synapse_trace.names, synapse_trace.cycles, synapse_trace.fired,
+            synapse_trace.counts, synapse_trace.charges) == (
+        trace.names, trace.cycles, trace.fired, trace.counts, trace.charges)
+    assert by_synapse.weights() == [engine.weights()[j] for j in links]
+    assert (engine.weights() != list(net.synapses.weight)) == stdp
