@@ -10,13 +10,14 @@ otherwise the pure-Python core; "reference" is the naive differential-testing
 oracle. The cores implement identical cycle semantics; the test suite holds
 them equal on every fixture and on randomized networks.
 
-A core mirrors the kernel.c ABI: run(n, record) runs n cycles and, when
-record is true, returns the three blocks of their Trace: the fired indices of
-every cycle end to end, the fire count of every cycle, and every charge as
-compared, cycle by cycle in neuron order; without record it returns None.
-charges(), weights() and phases() read the state as lists. Engine.run and
-Engine.advance both go through core.run, so a traced run and an untraced one
-execute the same cycle code.
+A core mirrors the kernel.c ABI rk_run(k, n, counts, charges): run(n, trace)
+runs n cycles and fills their cycles of trace, the one Trace that Engine.run
+allocates for them; Engine.advance passes None and nothing is recorded. The
+python and reference cores fill the trace through Trace.add, and the compiled
+core has the kernel write its blocks in place. charges(), weights() and
+phases() read the state as lists. Engine.run and Engine.advance both go
+through core.run, so a traced run and an untraced one execute the same cycle
+code.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .events import (
 )
 from .layout import Layout, build_layout, check_stimulus, is_checked
 from .pycore import PyEngine
-from .reference import ReferenceEngine
 
 __all__ = [
     "BACKENDS",
@@ -86,10 +86,11 @@ class Engine:
     def run(self, n_cycles: int) -> Trace:
         """Run n_cycles and return their trace, numbered from self.cycle."""
         _check_count(n_cycles)
-        fired, counts, charges = self._core.run(n_cycles, True)
         start = self.cycle
+        trace = Trace(self.names, range(start, start + n_cycles))
+        self._core.run(n_cycles, trace)
         self.cycle = start + n_cycles
-        return Trace(self.names, range(start, self.cycle), fired, counts, charges)
+        return trace
 
     def advance(self, n_cycles: int) -> None:
         """Run n_cycles without recording them. A count the kernel's int64_t
@@ -97,7 +98,7 @@ class Engine:
         _check_count(n_cycles)
         if n_cycles > _INT64_MAX:
             raise ValueError("cycle count must be <= 2**63 - 1")
-        self._core.run(n_cycles, False)
+        self._core.run(n_cycles, None)
         self.cycle += n_cycles
 
     def charges(self) -> dict[str, int]:
@@ -154,6 +155,8 @@ def new_engine(net: Network, hw: HardwareConstants, stim: Stimulus | None = None
     if not is_checked(stim, net, hw):
         check_stimulus(stim, net, hw)
     if backend == "reference":
+        from .reference import ReferenceEngine  # the oracle stays off the run path
+
         return Engine(backend, net.neuron_names(), ReferenceEngine(net, hw, stim))
 
     layout = build_layout(net, hw, stim)

@@ -18,7 +18,7 @@ from array import array
 from collections.abc import Sequence
 from pathlib import Path
 
-from .events import zeros
+from .events import Trace
 from .layout import Layout
 
 _SOURCE = Path(__file__).with_name("kernel.c")
@@ -99,6 +99,11 @@ def _int64s(*columns: Sequence[int]) -> bytes:
     return b"".join([struct.pack(f"{len(column)}q", *column) for column in columns])
 
 
+def _zeros(count: int) -> array:
+    """A block of count zeros for the kernel to copy values into."""
+    return array("q", [0]) * count
+
+
 def _fires(status: int) -> int:
     """The fire count rk_run returned; MemoryError when it could not grow a buffer."""
     if status < 0:
@@ -126,30 +131,29 @@ class CompiledEngine:
             raise MemoryError("cannot allocate the kernel state")
         weakref.finalize(self, lib.rk_free, self._k)
 
-    def run(self, n_cycles: int, record: bool) -> tuple[array, array, array] | None:
-        """One rk_run call. With record, the kernel logs the fired indices and
-        rk_fired copies them into a block of the exact size."""
-        if not record:
+    def run(self, n_cycles: int, trace: Trace | None) -> None:
+        """One rk_run call. Given a trace, the kernel writes its counts and
+        charges in place and logs the fired indices, which rk_fired copies
+        into a block of the exact size."""
+        if trace is None:
             _fires(self._lib.rk_run(self._k, n_cycles, None, None))
-            return None
-        counts, charges = zeros(n_cycles), zeros(n_cycles * self._n)
-        fires = _fires(self._lib.rk_run(self._k, n_cycles, counts.buffer_info()[0],
-                                        charges.buffer_info()[0]))
-        fired = zeros(fires)
-        self._lib.rk_fired(self._k, fired.buffer_info()[0])
-        return fired, counts, charges
+            return
+        fires = _fires(self._lib.rk_run(self._k, n_cycles, trace.counts.buffer_info()[0],
+                                        trace.charges.buffer_info()[0]))
+        trace.fired = _zeros(fires)
+        self._lib.rk_fired(self._k, trace.fired.buffer_info()[0])
 
     def charges(self) -> list[int]:
-        charges = zeros(self._n)
+        charges = _zeros(self._n)
         self._lib.rk_read(self._k, charges.buffer_info()[0], None, None)
         return charges.tolist()
 
     def weights(self) -> list[int]:
-        weights = zeros(self._n_syn)
+        weights = _zeros(self._n_syn)
         self._lib.rk_read(self._k, None, weights.buffer_info()[0], None)
         return weights.tolist()
 
     def phases(self) -> list[tuple[int, int]]:
-        phases = zeros(2 * self._n)
+        n, phases = self._n, _zeros(2 * self._n)
         self._lib.rk_read(self._k, None, None, phases.buffer_info()[0])
-        return list(zip(phases[0::2], phases[1::2]))
+        return list(zip(phases[:n], phases[n:]))

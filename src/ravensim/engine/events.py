@@ -91,58 +91,6 @@ class CycleReport:
 _ZERO = array("q", [0])
 
 
-def zeros(count: int) -> array:
-    """A block of count zeros as one array('q'). A count too large for the
-    memory at hand, or for the address space, raises MemoryError at once."""
-    try:
-        return _ZERO * count
-    except OverflowError:
-        raise MemoryError from None
-
-
-class TraceBlocks:
-    """The fired, count and charge blocks of one run of n_cycles over n
-    neurons, filled a cycle at a time by the python and reference cores.
-
-    The count and charge blocks are allocated whole before the first cycle,
-    as the compiled core allocates them, so a run too long for memory fails
-    at once. A charge beyond 64 bits turns the charge block into a list.
-    """
-
-    def __init__(self, n_cycles: int, n: int):
-        self.fired = array("q")
-        self.counts = zeros(n_cycles)
-        self.charges: array | list[int] = zeros(n_cycles * n)
-        self._n = n
-        self._cycle = 0
-
-    def add(self, fired: list[int], charges: list[int]) -> None:
-        """Records the next cycle: the indices that fired and every charge."""
-        c, n = self._cycle, self._n
-        self._cycle = c + 1
-        self.fired.extend(fired)
-        self.counts[c] = len(fired)
-        if isinstance(self.charges, array):
-            try:
-                self.charges[c * n:(c + 1) * n] = array("q", charges)
-                return
-            except OverflowError:
-                self.charges = self.charges.tolist()
-        self.charges[c * n:(c + 1) * n] = charges
-
-    def blocks(self) -> tuple[array, array, array | list[int]]:
-        return self.fired, self.counts, self.charges
-
-
-def int64_block(values: list[int]) -> array | list[int]:
-    """values as one array('q') block, or the list itself when a value does
-    not fit in 64 bits (possible on the python and reference backends)."""
-    try:
-        return array("q", values)
-    except OverflowError:
-        return values
-
-
 class Trace(Sequence[CycleReport]):
     """The cycle reports of one run, stored by column.
 
@@ -153,6 +101,12 @@ class Trace(Sequence[CycleReport]):
     array('q') blocks; charges is one too, unless a charge does not fit in
     64 bits.
 
+    Trace(names, cycles) allocates the count and charge blocks of every
+    cycle at once, so a trace no memory can hold raises MemoryError before
+    any cycle runs, and add() fills them a cycle at a time. Engine.run makes
+    the one Trace of a run and its core fills it; Trace.of and slicing fill
+    a fresh one.
+
     A Trace is a Sequence[CycleReport] that compares equal to a list of equal
     reports. trace[i] builds the CycleReport of cycle i, with a fresh mutable
     charges dict, and keeps it, so an edit through trace[i].charges is seen by
@@ -161,17 +115,35 @@ class Trace(Sequence[CycleReport]):
     alone; Trace.of folds kept reports back into columns.
     """
 
-    __slots__ = ("names", "cycles", "fired", "counts", "charges", "_starts", "_views")
+    __slots__ = ("names", "cycles", "fired", "counts", "charges", "_added", "_starts", "_views")
 
-    def __init__(self, names: Sequence[str], cycles: Sequence[int], fired: Sequence[int],
-                 counts: Sequence[int], charges: Sequence[int]):
+    def __init__(self, names: Sequence[str], cycles: Sequence[int]):
         self.names = tuple(names)
         self.cycles = cycles
-        self.fired = fired
-        self.counts = counts
-        self.charges = charges
+        try:  # len() of a range beyond sys.maxsize raises OverflowError too
+            self.counts = _ZERO * len(cycles)
+            self.charges: array | list[int] = _ZERO * (len(cycles) * len(self.names))
+        except OverflowError:
+            raise MemoryError from None
+        self.fired = array("q")
+        self._added = 0  # the cycles filled so far
         self._starts: list[int] | None = None  # where each cycle's fired indices begin
         self._views: dict[int, CycleReport] = {}
+
+    def add(self, fired: Sequence[int], charges: Sequence[int]) -> None:
+        """Fills the next cycle: the indices that fired and every charge, in
+        names order. A charge beyond 64 bits turns the charge block into a list."""
+        c, n = self._added, len(self.names)
+        self._added = c + 1
+        self.fired.extend(fired)
+        self.counts[c] = len(fired)
+        if isinstance(self.charges, array):
+            try:
+                self.charges[c * n:(c + 1) * n] = array("q", charges)
+                return
+            except OverflowError:
+                self.charges = self.charges.tolist()
+        self.charges[c * n:(c + 1) * n] = charges
 
     @classmethod
     def of(cls, reports: Sequence[CycleReport]) -> Trace:
@@ -183,7 +155,7 @@ class Trace(Sequence[CycleReport]):
         reports = list(reports)
         names = tuple(reports[0].charges) if reports else ()
         index = {name: i for i, name in enumerate(names)}
-        cycles, fired, counts, charges = [], [], [], []
+        trace = cls(names, [rep.cycle for rep in reports])
         for rep in reports:
             ordered = tuple(rep.charges) == names  # then its values are the row as they stand
             if not ordered and rep.charges.keys() != index.keys():
@@ -192,11 +164,9 @@ class Trace(Sequence[CycleReport]):
             missing = next((name for name in rep.fired if name not in index), None)
             if missing is not None:
                 raise ValueError(f"cycle {rep.cycle}: fired neuron {missing!r} has no charge")
-            cycles.append(rep.cycle)
-            fired += [index[name] for name in rep.fired]
-            counts.append(len(rep.fired))
-            charges += rep.charges.values() if ordered else [rep.charges[n] for n in names]
-        return cls(names, cycles, array("q", fired), array("q", counts), int64_block(charges))
+            trace.add([index[name] for name in rep.fired],
+                      list(rep.charges.values()) if ordered else [rep.charges[n] for n in names])
+        return trace
 
     def rows(self) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
         """(cycle number, fired indices, charges) of every cycle, from the columns."""
@@ -206,25 +176,6 @@ class Trace(Sequence[CycleReport]):
             yield cycle, fired[at:at + count], charges[i * n:(i + 1) * n]
             at += count
 
-    def _report(self, cycle: int, fired: Sequence[int], charges: Sequence[int]) -> CycleReport:
-        names = self.names
-        return CycleReport(cycle, tuple([names[j] for j in fired]), dict(zip(names, charges)))
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __iter__(self) -> Iterator[CycleReport]:
-        views = self._views
-        for i, row in enumerate(self.rows()):
-            view = views.get(i)
-            yield view if view is not None else self._report(*row)
-
-    def __reversed__(self) -> Iterator[CycleReport]:
-        views = self._views
-        for i in range(len(self) - 1, -1, -1):
-            view = views.get(i)
-            yield view if view is not None else self._report(self.cycles[i], *self._cells(i))
-
     def _cells(self, i: int) -> tuple[Sequence[int], Sequence[int]]:
         """The fired indices and the charges of cycle i."""
         if self._starts is None:
@@ -232,15 +183,30 @@ class Trace(Sequence[CycleReport]):
         n = len(self.names)
         return self.fired[self._starts[i]:self._starts[i + 1]], self.charges[i * n:(i + 1) * n]
 
+    def _report(self, i: int) -> CycleReport:
+        """The kept report of cycle i, or a new one built from its cells."""
+        view = self._views.get(i)
+        if view is not None:
+            return view
+        names, (fired, charges) = self.names, self._cells(i)
+        return CycleReport(self.cycles[i], tuple([names[j] for j in fired]),
+                           dict(zip(names, charges)))
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self) -> Iterator[CycleReport]:
+        return map(self._report, range(len(self)))
+
+    def __reversed__(self) -> Iterator[CycleReport]:
+        return map(self._report, range(len(self) - 1, -1, -1))
+
     def __getitem__(self, key):
         if isinstance(key, slice):
             picked = range(len(self))[key]
-            fired, charges = self.fired[:0], self.charges[:0]
+            part = Trace(self.names, self.cycles[key])
             for i in picked:
-                cycle_fired, cycle_charges = self._cells(i)
-                fired += cycle_fired
-                charges += cycle_charges
-            part = Trace(self.names, self.cycles[key], fired, self.counts[key], charges)
+                part.add(*self._cells(i))
             part._views = {k: self._views[i] for k, i in enumerate(picked) if i in self._views}
             return part
         i = operator.index(key)
@@ -248,9 +214,7 @@ class Trace(Sequence[CycleReport]):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("trace index out of range")
-        view = self._views.get(i)
-        if view is None:
-            view = self._views[i] = self._report(self.cycles[i], *self._cells(i))
+        view = self._views[i] = self._report(i)
         return view
 
     def __eq__(self, other: object) -> bool:

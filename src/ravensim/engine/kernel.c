@@ -9,7 +9,8 @@
    indices of the neurons that fired, cycle after cycle, in a buffer the
    kernel owns and grows; rk_fired(k, dst) then copies that log into a
    block of exactly as many values. With NULL blocks rk_run only advances.
-   These are the blocks the Python cores fill.
+   The blocks are those of the Trace that Engine.run allocates, which the
+   Python cores fill a cycle at a time through Trace.add.
 
    Each cycle runs the four phases of the cycle specification (fire, leak,
    deliver, settle; README "Cycle model", written out phase by phase in
@@ -403,19 +404,16 @@ int64_t rk_fired(const rk *k, int64_t *dst)
 }
 
 /* Copies the charges (n values), the synapse weights (n_syn values) and the
-   (phase, cycles left) pairs (2n values) into the buffers given; any may be
-   NULL. Returns the number of cycles run. */
+   phases followed by the cycles left in each (2n values) into the buffers
+   given; any may be NULL. phase_left follows phase in k's state block, so
+   the phases take one copy. Returns the number of cycles run. */
 int64_t rk_read(const rk *k, int64_t *charges, int64_t *weights, int64_t *phases)
 {
-    int64_t i;
     if (charges && k->n)
         memcpy(charges, k->acc, (size_t)k->n * sizeof *charges);
     if (weights && k->n_syn)
         memcpy(weights, k->syn_weight, (size_t)k->n_syn * sizeof *weights);
-    if (phases)
-        for (i = 0; i < k->n; i++) {
-            phases[2 * i] = k->phase[i];
-            phases[2 * i + 1] = k->phase_left[i];
-        }
+    if (phases && k->n)
+        memcpy(phases, k->phase, (size_t)(2 * k->n) * sizeof *phases);
     return k->cycle;
 }

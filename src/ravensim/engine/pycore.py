@@ -8,9 +8,7 @@ kernel.c's header argues that these two passes run them exactly.
 
 from __future__ import annotations
 
-from array import array
-
-from .events import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD, TraceBlocks
+from .events import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD, Trace
 from .layout import Layout
 
 
@@ -49,14 +47,12 @@ class PyEngine:
         # Appended (scheduled cycle, delivery cycle, synapse index) when given.
         self.delivery_log = delivery_log
 
-    def run(self, n_cycles: int, record: bool) -> tuple[array, array, array | list] | None:
-        """Run n_cycles; with record, return their fired, count and charge blocks."""
-        blocks = TraceBlocks(n_cycles, self.n) if record else None
+    def run(self, n_cycles: int, trace: Trace | None) -> None:
+        """Run n_cycles, filling their cycles of trace when one is given."""
         for _ in range(n_cycles):
-            self._cycle(blocks)
-        return blocks.blocks() if blocks is not None else None
+            self._cycle(trace)
 
-    def _cycle(self, blocks: TraceBlocks | None) -> None:
+    def _cycle(self, trace: Trace | None) -> None:
         t = self.cycle
         lay = self.lay
         std_rest, ref_rest = lay.standard_resting, lay.refractory_resting
@@ -112,8 +108,8 @@ class PyEngine:
 
         # The report: the charges as compared against the thresholds, which
         # SETTLE reads before its resting floors change them.
-        if blocks is not None:
-            blocks.add(fired, acc)
+        if trace is not None:
+            trace.add(fired, acc)
 
         # SETTLE: threshold comparison and STDP, then the resting floors and
         # the refractory bookkeeping

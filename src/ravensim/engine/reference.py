@@ -9,8 +9,6 @@ simple on purpose.
 
 from __future__ import annotations
 
-from array import array
-
 from ..netmodel import HardwareConstants, Network
 from .events import (
     INJECTION,
@@ -18,7 +16,7 @@ from .events import (
     PHASE_RELATIVE,
     PHASE_STANDARD,
     Stimulus,
-    TraceBlocks,
+    Trace,
 )
 
 _STD = "standard"
@@ -53,14 +51,12 @@ class ReferenceEngine:
         lo, hi = self.bounds
         return min(max(value, lo), hi)
 
-    def run(self, n_cycles: int, record: bool) -> tuple[array, array, array | list] | None:
-        """Run n_cycles; with record, return their fired, count and charge blocks."""
-        blocks = TraceBlocks(n_cycles, len(self.names)) if record else None
+    def run(self, n_cycles: int, trace: Trace | None) -> None:
+        """Run n_cycles, filling their cycles of trace when one is given."""
         for _ in range(n_cycles):
-            cycle_fired, cycle_charges = self._cycle()
-            if blocks is not None:
-                blocks.add(cycle_fired, cycle_charges)
-        return blocks.blocks() if blocks is not None else None
+            fired, charges = self._cycle()
+            if trace is not None:
+                trace.add(fired, charges)
 
     def _cycle(self) -> tuple[list[int], list[int]]:
         t = len(self.history)

@@ -142,29 +142,30 @@ def joint_edge_search(case: GoldenCase) -> JointResult:
             raise ValueError("joint search requires plain accumulate-and-fire neurons")
     if net.stdp_enabled:
         raise ValueError("joint search requires plasticity off")
-    reports = case.expected
-    if any(v < 0 for rep in reports for v in rep.charges.values()):
+    trace = case.expected
+    if any(v < 0 for v in trace.charges):
         raise ValueError("joint search requires non-negative charge cells")
 
-    names = [m.name for m in net.neurons]
-    horizon = len(reports)
-    fires = [set(rep.fired) for rep in reports]
-    charge = [rep.charges for rep in reports]
-    stim_add: dict[tuple[int, str], int] = {}
+    # Neurons by their index in trace.names, cycles by their row in the trace.
+    index = {name: i for i, name in enumerate(trace.names)}
+    horizon = len(trace)
+    fires = [set(fired) for _, fired, _ in trace.rows()]
+    charge = [charges for _, _, charges in trace.rows()]
+    stim_add: dict[tuple[int, int], int] = {}
     for ev in case.stimulus.events:
         if ev.kind != INPUT_SPIKE:
             raise ValueError("joint search supports input-spike stimuli only")
         if ev.cycle < horizon:
-            key = (ev.cycle, ev.neuron)
+            key = (ev.cycle, index[ev.neuron])
             stim_add[key] = stim_add.get(key, 0) + net.input_spike_amount
 
-    edges = [(s.pre, s.post) for s in net.synapses]
+    edges = [(index[s.pre], index[s.post]) for s in net.synapses]
     n_edges = len(edges)
     solutions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     for combo in itertools.product(DELAYS, repeat=n_edges):
         # Which synapses deliver into (cycle, neuron) under these delays.
-        deliver: dict[tuple[int, str], list[int]] = {}
+        deliver: dict[tuple[int, int], list[int]] = {}
         for j, (pre, post) in enumerate(edges):
             d = combo[j]
             for t in range(d, horizon):
@@ -173,7 +174,7 @@ def joint_edge_search(case: GoldenCase) -> JointResult:
 
         equations: list[tuple[list[int], int]] = []
         for t in range(horizon):
-            for n in names:
+            for n in range(len(trace.names)):
                 base = 0 if n in fires[t] else (charge[t - 1][n] if t >= 1 else 0)
                 rhs = charge[t][n] - base - stim_add.get((t, n), 0)
                 equations.append((deliver.get((t, n), []), rhs))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import re
 import shutil
 import struct
 import subprocess
@@ -27,7 +28,7 @@ from ravensim import (
     validate_network,
 )
 from ravensim.cli import EXIT_OK, main
-from ravensim.engine import INJECTION, Engine, Stimulus, StimulusEvent, compiled
+from ravensim.engine import INJECTION, Engine, Stimulus, StimulusEvent, Trace, compiled
 from ravensim.engine.compiled import available as kernel_available
 from ravensim.ioformats import load_stimulus, parse_trace_jsonl, save_hardware, save_network
 from ravensim.netmodel import signed_range
@@ -68,6 +69,32 @@ def test_kernel_compiles_without_warnings(tmp_path):
                            str(tmp_path / "kernel.so"), str(compiled._SOURCE)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# A definition of an rk_* function in kernel.c: "static " or not, the return
+# type, the name and the parameter list.
+KERNEL_FUNCTION = re.compile(r"^(static )?([A-Za-z][^\n(;]*?)\s*\b(rk_\w+)\(([^)]*)\)\s*\{", re.M)
+
+
+@needs_kernel
+def test_bind_declares_exactly_the_exported_kernel_functions():
+    # The ctypes boundary: _bind declares each non-static rk_* function of
+    # kernel.c, and no other, with one argtype per C parameter. A pointer
+    # travels as c_void_p and an int64_t as c_int64.
+    import ctypes
+
+    def ctype(decl: str):
+        return ctypes.c_void_p if "*" in decl else {
+            "void": None, "int64_t": ctypes.c_int64}[decl.split()[0]]
+
+    defined = {name: (ctype(result), tuple(ctype(p) for p in params.split(",")))
+               for static, result, name, params in KERNEL_FUNCTION.findall(
+                   compiled._SOURCE.read_text()) if not static}
+    assert {"rk_new", "rk_free", "rk_run", "rk_fired", "rk_read"} <= defined.keys()
+    lib = compiled._bind(compiled._library()._name)  # a fresh CDLL: only _bind's lookups
+    declared = {name: (function.restype, tuple(function.argtypes))
+                for name, function in vars(lib).items() if name.startswith("rk_")}
+    assert declared == defined
 
 
 def test_int64s_packs_columns_end_to_end():
@@ -445,6 +472,10 @@ def test_values_beyond_int64_stay_on_python(name, tmp_path, capsys):
     assert trace == new_engine(net, hw, stim, backend="python").run(3)
     assert trace[0].charges == {"A": charge}
     assert trace[1].fired == ("A",)
+    # A charge beyond 64 bits keeps the charge block a list, also when folded.
+    assert (type(trace.charges) is list) == (charge >= 1 << 63)
+    folded = Trace.of(list(trace))
+    assert type(folded.charges) is type(trace.charges) and folded.charges == trace.charges
     with pytest.raises(ValueError, match="64-bit" if kernel_available() else "cannot be built"):
         new_engine(net, hw, stim, backend="compiled")
 

@@ -8,6 +8,7 @@ the two plasticity branches.
 from __future__ import annotations
 
 import shutil
+from array import array
 
 import pytest
 
@@ -298,6 +299,11 @@ def test_trace_is_a_sequence_of_reports(backend):
         assert isinstance(trace[part], Trace)
         assert trace[part] == reports[part]
     assert trace.names == engine.names
+    for copy in (trace, Trace.of(list(trace)), trace[:]):
+        for column in ("fired", "counts", "charges"):
+            block = getattr(copy, column)
+            assert type(block) is array and block.typecode == "q", column
+            assert block == getattr(trace, column), column
 
 
 @pytest.mark.parametrize("backend", EVERY_BACKEND)
