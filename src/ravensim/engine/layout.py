@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..netmodel import HardwareConstants, Network, signed_range
 from .events import INJECTION, Events, Stimulus
@@ -30,17 +31,17 @@ class Layout:
 
     # Per-synapse settings, indexed by synapse declaration order. syn_weight
     # holds the initial weights; each core keeps its own live copy.
-    syn_pre: list[int]
-    syn_post: list[int]
+    syn_pre: Sequence[int]
+    syn_post: Sequence[int]
     syn_weight: Sequence[int]
     syn_delay: Sequence[int]
 
     # Stimulus events as columns, stably sorted by cycle: the cycle, the
     # target neuron, and the charge the event adds (the input spike amount
     # or the injected value).
-    ev_cycle: list[int]
-    ev_neuron: list[int]
-    ev_value: list[int]
+    ev_cycle: Sequence[int]
+    ev_neuron: Sequence[int]
+    ev_value: Sequence[int]
 
     ring_slots: int
     stdp_enabled: bool
@@ -100,13 +101,21 @@ def is_checked(stim: Stimulus, net: Network, hw: HardwareConstants) -> bool:
     return checked is not None and checked[0] is net and checked[1] is hw
 
 
+def _indices(index: dict[str, int], names: Sequence[str]) -> Sequence[int]:
+    """index[name] for every name, looked up in one itemgetter call. itemgetter
+    returns a bare value for one name and cannot be built for none."""
+    if len(names) > 1:
+        return itemgetter(*names)(index)
+    return tuple(index[name] for name in names)
+
+
 def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
     index = net.neuron_index()
     neurons, synapses = net.neurons, net.synapses
     ev_cycle, ev_neuron, ev_kind, ev_value = stim.events.by_cycle().columns()
     amount = net.input_spike_amount
 
-    # The network's columns are immutable tuples and are shared.
+    # The network's and the stimulus's columns are immutable tuples and are shared.
     return Layout(
         names=list(neurons.name),
         threshold=neurons.threshold,
@@ -115,12 +124,12 @@ def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
         abs_refractory=neurons.abs_refractory,
         rel_refractory=neurons.rel_refractory,
         leak=neurons.leak,
-        syn_pre=list(map(index.__getitem__, synapses.pre)),
-        syn_post=list(map(index.__getitem__, synapses.post)),
+        syn_pre=_indices(index, synapses.pre),
+        syn_post=_indices(index, synapses.post),
         syn_weight=synapses.weight,
         syn_delay=synapses.delay,
-        ev_cycle=list(ev_cycle),
-        ev_neuron=list(map(index.__getitem__, ev_neuron)),
+        ev_cycle=ev_cycle,
+        ev_neuron=_indices(index, ev_neuron),
         ev_value=[value if kind == INJECTION else amount
                   for kind, value in zip(ev_kind, ev_value)],
         ring_slots=hw.max_delay + 1,

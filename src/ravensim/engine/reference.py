@@ -1,10 +1,13 @@
 """Naive oracle engine for differential testing.
 
 Deliberately written without the production engine's machinery: no delivery
-ring, no adjacency lists, no shared helper imports. Every cycle it rescans
-the full synapse list and the full fire history, so a delivery happens at
-cycle t exactly when the pre-neuron fired at cycle t - delay. Slow and
-simple on purpose.
+ring, no adjacency lists, no shared helper imports. Every cycle it walks the
+full synapse list and looks each pre-neuron up in the fire set of cycle
+t - delay, kept for every cycle run, so a delivery happens at cycle t exactly
+when the pre-neuron fired at cycle t - delay. STDP is one more walk over the
+synapses, each adjusted by the rule of its post-neuron. Slow and simple on
+purpose: every cycle costs time linear in the number of synapses, where the
+production cores touch only the synapses that deliver.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .events import (
     PHASE_RELATIVE,
     PHASE_STANDARD,
     Stimulus,
+    StimulusEvent,
     Trace,
 )
 
@@ -33,7 +37,9 @@ class ReferenceEngine:
         self.hw = hw
         neurons = tuple(net.neurons)  # settings records, built once
         self.synapses = tuple(net.synapses)
-        self.events = list(stim.events)
+        self.events: dict[int, list[StimulusEvent]] = {}  # by cycle, in stimulus order
+        for ev in stim.events:
+            self.events.setdefault(ev.cycle, []).append(ev)
         self.names = [m.name for m in neurons]
         self.settings = {m.name: m for m in neurons}
         self.acc = {m.name: m.standard_resting for m in neurons}
@@ -93,34 +99,37 @@ class ReferenceEngine:
             self.last_delivery[j] = t
             if self.mode[s.post] != _ABS:
                 self.acc[s.post] += self.weight[j]
-        for ev in self.events:
-            if ev.cycle != t or self.mode[ev.neuron] == _ABS:
+        for ev in self.events.get(t, ()):
+            if self.mode[ev.neuron] == _ABS:
                 continue
             if ev.kind == INJECTION:
                 self.acc[ev.neuron] += ev.value
             else:
                 self.acc[ev.neuron] += self.net.input_spike_amount
 
+        # A neuron whose charge exceeds its threshold potentiates every synapse
+        # into it by how recently that synapse delivered. One that does not,
+        # but has exceeded before, depresses the synapses into it that
+        # delivered this cycle by how long ago it last exceeded. Each synapse
+        # has one post-neuron, so one walk over the synapses applies both.
+        exceeded = {name for name in self.names if self.acc[name] > self.settings[name].threshold}
         table = self.hw.stdp_table
         tsize = len(table)
-        plastic = self.net.stdp_enabled and tsize > 0
-        for name in self.names:
-            if self.acc[name] > self.settings[name].threshold:
-                self.pending[name] = True
-                if plastic:
-                    for j, s in enumerate(self.synapses):
-                        if s.post != name or self.last_delivery[j] is None:
-                            continue
-                        k = tsize // 2 - (t - self.last_delivery[j])
-                        if k >= 0:
-                            self.weight[j] = self._clamped(self.weight[j] + table[k])
-                self.anchor[name] = t
-            elif plastic and self.anchor[name] is not None:
-                k = tsize // 2 + (t - self.anchor[name])
-                if k < tsize:
-                    for j, s in enumerate(self.synapses):
-                        if s.post == name and j in delivered:
-                            self.weight[j] = self._clamped(self.weight[j] + table[k])
+        if self.net.stdp_enabled and tsize > 0:
+            for j, s in enumerate(self.synapses):
+                if s.post in exceeded:
+                    if self.last_delivery[j] is None:
+                        continue
+                    k = tsize // 2 - (t - self.last_delivery[j])
+                    if k >= 0:
+                        self.weight[j] = self._clamped(self.weight[j] + table[k])
+                elif j in delivered and self.anchor[s.post] is not None:
+                    k = tsize // 2 + (t - self.anchor[s.post])
+                    if k < tsize:
+                        self.weight[j] = self._clamped(self.weight[j] + table[k])
+        for name in exceeded:
+            self.pending[name] = True
+            self.anchor[name] = t
 
         charges = [self.acc[name] for name in self.names]
 

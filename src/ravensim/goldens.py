@@ -20,6 +20,7 @@ from .engine import CycleReport, Trace, new_engine
 from .ioformats import (
     FormatError,
     _field,
+    _reject_duplicate_keys,
     load_hardware,
     load_network,
     load_stimulus,
@@ -65,13 +66,15 @@ def default_fixtures_dir() -> Path:
 def load_case(case_dir: Path | str) -> GoldenCase:
     case_dir = Path(case_dir)
     manifest_path = case_dir / "case.json"
-    try:
-        manifest = json.loads(read_text(manifest_path))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{manifest_path}: {e.msg}") from None
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{manifest_path}: must be a JSON object")
     where = str(manifest_path)
+    text = read_text(manifest_path)
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{where}: {e.msg}") from None
+    _reject_duplicate_keys(text, manifest, where)
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{where}: must be a JSON object")
     cycles = _field(manifest, "cycles", None, int, where)
     name = _field(manifest, "name", None, str, where)
     hw_text, net_text, stim_text, expected_text = (

@@ -1,9 +1,9 @@
 """File formats: hardware JSON, network JSON, stimulus text, trace output.
 
 Hardware and network files are JSON with a "format": 1 version key. All
-numeric settings are integers; floats are rejected. Unknown keys are
-rejected so that typos fail loudly instead of silently deprogramming a
-neuron. The stimulus format is line oriented:
+numeric settings are integers; floats are rejected. Unknown keys, and keys
+repeated within one object, are rejected so that typos fail loudly instead
+of silently deprogramming a neuron. The stimulus format is line oriented:
 
     # comment
     AS <cycle> <neuron>            apply an input spike
@@ -53,11 +53,54 @@ def read_text(path: str | os.PathLike) -> str:
                           f"({e.reason} at byte {e.start})") from None
 
 
-def _parse_json(text: str) -> Any:
+def _key_count(doc: Any) -> int:
+    """The keys of the object doc, of the objects among its values and of the
+    objects in the arrays among its values. Deeper objects are not counted:
+    the count is exact for every document ravensim reads, and a lower bound
+    for any other."""
+    if type(doc) is not dict:
+        return 0
+    values = doc.values()
+    nested = [value for value in values if type(value) is dict]
+    for value in values:
+        if type(value) is list:
+            nested += [item for item in value if type(item) is dict]
+    return len(doc) + sum(map(len, nested))
+
+
+def _reject_duplicate_keys(text: str, doc: Any, where: str) -> None:
+    """Raise a FormatError naming a key that an object of the JSON text
+    repeats; doc is what json.loads read from text, which kept only the last
+    value of such a key.
+
+    Every key of a document writes one ':' outside its strings. So when the
+    keys doc holds account for every ':' in text, no key was repeated. Only
+    otherwise (a repeated key, a ':' inside a string, or objects nested
+    deeper than _key_count looks) is text decoded again, pair by pair; the
+    first object whose closing brace comes with a repeated key names it."""
+    if _key_count(doc) == text.count(":"):
+        return
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise FormatError(f'{where}: duplicate key "{key}"')
+                seen.add(key)
+        return obj
+
+    json.loads(text, object_pairs_hook=unique)
+
+
+def _parse_json(text: str, where: str) -> Any:
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    _reject_duplicate_keys(text, doc, where)
+    return doc
 
 
 _KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
@@ -103,10 +146,10 @@ _HW_KEYS = (
 
 def load_hardware(text: str) -> HardwareConstants:
     """Parse a hardware-constants JSON document."""
-    obj = _parse_json(text)
+    where = "hardware file"
+    obj = _parse_json(text, where)
     if not isinstance(obj, dict):
         raise FormatError("hardware file: top level must be a JSON object")
-    where = "hardware file"
     _check_version(obj, where)
     _reject_unknown(obj, set(_HW_KEYS) | {"format", "stdp_table"}, where)
     kwargs = {key: _field(obj, key, None, int, where) for key in _HW_KEYS}
@@ -194,7 +237,7 @@ def parse_network(text: str) -> Network:
     The neuron and synapse objects are read straight into columns. Only a
     document with a malformed entity is read again object by object, to
     report its first error in document order."""
-    obj = _parse_json(text)
+    obj = _parse_json(text, "network file")
     if not isinstance(obj, dict):
         raise FormatError("network file: top level must be a JSON object")
     _check_version(obj, "network file")
@@ -374,11 +417,12 @@ def parse_trace_jsonl(text: str) -> Trace:
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
+        where = f"trace line {lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
-            raise FormatError(f"trace line {lineno}: {e.msg}") from None
-        where = f"trace line {lineno}"
+            raise FormatError(f"{where}: {e.msg}") from None
+        _reject_duplicate_keys(line, obj, where)
         if not isinstance(obj, dict):
             raise FormatError(f"{where}: must be an object")
         cycle = _field(obj, "cycle", None, int, where)

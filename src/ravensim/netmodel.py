@@ -181,10 +181,14 @@ _RangeRule = tuple[Sequence[int], int, int, str, Callable[[int], str]]
 
 def _outside(rules: Sequence[_RangeRule]) -> set[int]:
     """Indices of the entities that break one of the range rules. A column is
-    scanned element by element only when its min or max is out of bounds."""
+    scanned element by element only when its min or max is out of bounds.
+    The min and max are taken over the column's distinct values: a settings
+    column holds few of them, and one pass to find them costs less than the
+    two passes of min and max over the whole column."""
     bad: set[int] = set()
     for column, lo, hi, _, _ in rules:
-        if column and not (lo <= min(column) and max(column) <= hi):
+        values = set(column)
+        if values and not (lo <= min(values) and max(values) <= hi):
             bad.update(i for i, value in enumerate(column) if not lo <= value <= hi)
     return bad
 
@@ -257,9 +261,13 @@ def validate_network(net: Network, hw: HardwareConstants) -> ValidationReport:
         (synapses.delay, 0, hw.max_delay, "delay out of range",
          lambda v: f"delay {v} outside [0, {hw.max_delay}]"),
     )
-    unknown = set(pre).union(post) - known
-    dangling = {i for i, ends in enumerate(zip(pre, post))
-                if not unknown.isdisjoint(ends)} if unknown else set()
+    # One count of the post names serves both the endpoint test here and the
+    # port budget below; the unknown names are gathered only when some exist.
+    fan_in = Counter(post)
+    dangling: set[int] = set()
+    if not (known.issuperset(pre) and known.issuperset(fan_in)):
+        unknown = set(pre).union(fan_in) - known
+        dangling = {i for i, ends in enumerate(zip(pre, post)) if not unknown.isdisjoint(ends)}
     for i in sorted(dangling | _outside(synapse_rules)):
         label = f"{pre[i]}->{post[i]}"
         for end in (pre[i], post[i]):
@@ -270,7 +278,6 @@ def validate_network(net: Network, hw: HardwareConstants) -> ValidationReport:
 
     # Each neuron has hw.ports input ports; enabling injection reserves
     # hw.injection_ports of them, leaving fewer for incoming synapses.
-    fan_in = Counter(post)
     if fan_in and max(fan_in.values()) > hw.ports - hw.injection_ports:
         for name, injection in zip(names, neurons.injection):
             budget = hw.ports - (hw.injection_ports if injection else 0)

@@ -30,6 +30,7 @@ from ravensim import (
 from ravensim.cli import EXIT_OK, main
 from ravensim.engine import INJECTION, Engine, Stimulus, StimulusEvent, Trace, compiled
 from ravensim.engine.compiled import available as kernel_available
+from ravensim.engine.layout import build_layout
 from ravensim.ioformats import load_stimulus, parse_trace_jsonl, save_hardware, save_network
 from ravensim.netmodel import signed_range
 
@@ -407,6 +408,54 @@ def test_compiled_matches_python_at_bench_scale(n_neurons, fan_out, max_delay, s
     assert ck.charges() == py.charges()
     assert ck.weights() == py.weights()
     assert ck.phases() == py.phases()
+
+
+@pytest.mark.parametrize("backend", ["reference", COMPILED])
+def test_backends_agree_on_the_dense_benchmark_shape(backend):
+    # 1024 neurons and 16384 synapses with STDP on, most of them firing
+    # every cycle: the size the per-call setup of new_engine is tuned for.
+    net, hw, stim = build_setup(1024, 16, 4, True, seed=7)
+    assert (len(net.neurons), len(net.synapses)) == (1024, 16384)
+    py = new_engine(net, hw, stim, backend="python")
+    other = new_engine(net, hw, stim, backend=backend)
+    trace = py.run(20)
+    assert other.run(20) == trace
+    assert sum(trace.counts) > 10 * 1024
+    assert other.charges() == py.charges()
+    assert other.weights() == py.weights() != list(net.synapses.weight)
+    assert other.phases() == py.phases()
+
+
+EDGE_SYNAPSES = (SynapseSettings("A", "B", 3, 0), SynapseSettings("B", "A", -2, 1))
+EDGE_EVENTS = (StimulusEvent(0, "A"), StimulusEvent(1, "B", INJECTION, 3))
+
+
+@pytest.mark.parametrize("backend", ["reference", COMPILED])
+@pytest.mark.parametrize("n_events", [0, 1, 2])
+@pytest.mark.parametrize("n_synapses", [0, 1, 2])
+def test_short_endpoint_columns_run_alike_on_every_backend(n_synapses, n_events, backend):
+    # build_layout looks the endpoints up with one itemgetter call per column,
+    # which returns a bare value for one name and cannot be made for none.
+    neurons = (NeuronSettings("A", threshold=1), NeuronSettings("B", threshold=2, injection=True))
+    net = Network(neurons, EDGE_SYNAPSES[:n_synapses], stdp_enabled=True)
+    hw = HardwareConstants(
+        accumulator_width=8, threshold_width=4, weight_width=4, max_delay=2,
+        max_leak=2, max_abs_refractory=2, max_rel_refractory=2, ports=4,
+        injection_ports=3, stdp_table=(1, 2, -1))
+    stim = Stimulus(EDGE_EVENTS[:n_events])
+    layout = build_layout(net, hw, stim)
+    index = {"A": 0, "B": 1}
+    assert list(layout.syn_pre) == [index[s.pre] for s in net.synapses]
+    assert list(layout.syn_post) == [index[s.post] for s in net.synapses]
+    assert list(layout.ev_neuron) == [index[ev.neuron] for ev in stim.events]
+    py = new_engine(net, hw, stim, backend="python")
+    other = new_engine(net, hw, stim, backend=backend)
+    trace = py.run(12)
+    assert other.run(12) == trace
+    assert sum(trace.counts) > 0 or n_events == 0
+    assert other.charges() == py.charges()
+    assert other.weights() == py.weights()
+    assert other.phases() == py.phases()
 
 
 @pytest.mark.parametrize("stdp", [False, True], ids=["stdp_off", "stdp_on"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import shutil
 
 import pytest
@@ -163,3 +164,19 @@ def test_load_case_requires_manifest(tmp_path):
 def test_discover_requires_cases(tmp_path):
     with pytest.raises(goldens.FormatError, match="no golden cases"):
         goldens.discover_cases(tmp_path)
+
+
+def test_load_case_rejects_duplicate_manifest_keys(tmp_path, cases_by_name):
+    source = cases_by_name["network_3_leak"].root
+    for name in ("hardware.json", "network.json", "stimulus.txt", "expected.jsonl"):
+        (tmp_path / name).write_text((source / name).read_text())
+    manifest = json.loads((source / "case.json").read_text())
+    manifest["notes"] = "reconstructed: a note with colons: two"
+    text = json.dumps(manifest)
+    (tmp_path / "case.json").write_text(text)
+    assert goldens.load_case(tmp_path).notes == manifest["notes"]
+
+    (tmp_path / "case.json").write_text(text.replace('"cycles": ', '"cycles": 1, "cycles": ', 1))
+    message = f'{tmp_path / "case.json"}: duplicate key "cycles"'
+    with pytest.raises(goldens.FormatError, match=f"^{re.escape(message)}$"):
+        goldens.load_case(tmp_path)

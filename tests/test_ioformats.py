@@ -511,3 +511,53 @@ def test_parse_trace_jsonl_rejects_malformed_lines():
         parse_trace_jsonl(first + '{"cycle": 1, "fired": ["A", "C"], "charges": {"A": 0, "B": 1}}')
     with pytest.raises(FormatError, match="^trace line 1: fired neuron 'A' has no charge$"):
         parse_trace_jsonl('{"cycle": 0, "fired": ["A"], "charges": {}}')
+
+
+def _repeat_key(text: str, pair: str, repeated: str) -> str:
+    """text with the key-value pair `pair` followed by `repeated`, a second
+    value for the same key, in the one object where pair first appears."""
+    assert pair in text
+    return text.replace(pair, f"{pair}, {repeated}", 1)
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (load_hardware, _repeat_key(hw_text(), '"max_delay": 8', '"max_delay": 2'),
+     'hardware file: duplicate key "max_delay"'),
+    (load_hardware, _repeat_key(hw_text(), '"format": 1', '"format": 1'),
+     'hardware file: duplicate key "format"'),
+    (parse_network, _repeat_key(net_text(), '"threshold": 2', '"threshold": 5'),
+     'network file: duplicate key "threshold"'),
+    (parse_network, _repeat_key(net_text(), '"input_spike_amount": 4', '"stdp": true'),
+     'network file: duplicate key "stdp"'),
+    (parse_network, _repeat_key(net_text(), '"format": 1', '"neurons": []'),
+     'network file: duplicate key "neurons"'),
+    # An object nested deeper than any ravensim format goes: reported all the same.
+    (parse_network, net_text(settings={"stdp": "{}"}).replace('"{}"', '{"a": 1, "a": 2}'),
+     'network file: duplicate key "a"'),
+    (parse_trace_jsonl, '{"cycle": 0, "fired": [], "charges": {"A": 1}}\n'
+                        '{"cycle": 1, "fired": [], "charges": {"A": 1, "A": 2}}',
+     'trace line 2: duplicate key "A"'),
+    (parse_trace_jsonl, '{"cycle": 0, "cycle": 1, "fired": [], "charges": {"A": 1}}',
+     'trace line 1: duplicate key "cycle"'),
+])
+def test_readers_reject_duplicate_keys(read, text, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read(text)
+
+
+def test_colons_inside_strings_are_no_duplicate_keys():
+    # A ':' inside a string makes the ':' count exceed the key count; the
+    # second, pair-by-pair decode clears it and the document reads as usual.
+    doc = json.loads(net_text())
+    doc["neurons"][0]["name"] = "A:1"
+    doc["synapses"][0]["from"] = doc["synapses"][1]["to"] = "A:1"
+    net = parse_network(json.dumps(doc))
+    assert net.neurons.name == ("A:1", "B") and net.synapses.pre == ("A:1", "B")
+    assert parse_network(save_network(net)) == net
+    with pytest.raises(FormatError, match='^hardware file: unknown key "max:leak"$'):
+        load_hardware(hw_text(**{"max:leak": 1}))
+    with pytest.raises(FormatError, match="^settings: key \"stdp\" must be a boolean, "
+                                          "got {'x:': 1}$"):
+        parse_network(net_text(settings={"stdp": {"x:": 1}}))
+    trace = parse_trace_jsonl('{"cycle": 0, "fired": ["a:b"], "charges": {"a:b": 1, ":": 2}}')
+    assert trace.names == ("a:b", ":") and list(trace.fired) == [0]

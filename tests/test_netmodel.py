@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+import re
+
 import pytest
 
 from ravensim import (
@@ -13,7 +17,7 @@ from ravensim import (
     resource_report,
     validate_network,
 )
-from ravensim.netmodel import ceil_log2, signed_range
+from ravensim.netmodel import ValidationReport, Violation, ceil_log2, signed_range
 
 
 def small_hw(**overrides) -> HardwareConstants:
@@ -283,3 +287,165 @@ def test_resource_report_empty_network():
     text = resource_report(Network((), ()), small_hw())
     assert "neurons: 0" in text
     assert "port usage:" not in text
+
+
+def naive_validate(net: Network, hw: HardwareConstants) -> ValidationReport:
+    """validate_network written row by row, as the rules read: the reference
+    for the column-at-a-time checks of the real one."""
+    out: list[Violation] = []
+    needed = min_accumulator_width(hw.weight_width, hw.ports, hw.injection_ports)
+    if hw.accumulator_width < needed:
+        out.append(Violation("hardware", "accumulator width too small",
+                             f"accumulator width {hw.accumulator_width} is below the minimum "
+                             f"{needed} for weight width {hw.weight_width}, {hw.ports} ports, "
+                             f"{hw.injection_ports} injection ports"))
+    tlo, thi = signed_range(hw.threshold_width)
+    alo, ahi = signed_range(hw.accumulator_width)
+    wlo, whi = signed_range(hw.weight_width)
+    acc = f"for a {hw.accumulator_width}-bit accumulator"
+    seen: set[str] = set()
+    for m in net.neurons:
+        if m.name in seen:
+            out.append(Violation(m.name, "duplicate neuron id",
+                                 f"neuron name {m.name} declared more than once"))
+        seen.add(m.name)
+        for value, lo, hi, rule, text in (
+                (m.threshold, tlo, thi, "threshold out of range",
+                 f"threshold {m.threshold} outside [{tlo}, {thi}] for a "
+                 f"{hw.threshold_width}-bit threshold"),
+                (m.standard_resting, alo, ahi, "resting potential out of range",
+                 f"standard resting potential {m.standard_resting} outside [{alo}, {ahi}] {acc}"),
+                (m.refractory_resting, alo, ahi, "resting potential out of range",
+                 f"refractory resting potential {m.refractory_resting} outside "
+                 f"[{alo}, {ahi}] {acc}"),
+                (m.leak, 0, hw.max_leak, "leak out of range",
+                 f"leak {m.leak} outside [0, {hw.max_leak}]"),
+                (m.abs_refractory, 0, hw.max_abs_refractory, "refractory out of range",
+                 f"absolute refractory {m.abs_refractory} outside [0, {hw.max_abs_refractory}]"),
+                (m.rel_refractory, 0, hw.max_rel_refractory, "refractory out of range",
+                 f"relative refractory {m.rel_refractory} outside [0, {hw.max_rel_refractory}]")):
+            if not lo <= value <= hi:
+                out.append(Violation(m.name, rule, f"neuron {m.name}: {text}"))
+    fan_in: dict[str, int] = {}
+    for s in net.synapses:
+        label = f"{s.pre}->{s.post}"
+        for end in (s.pre, s.post):
+            if end not in seen:
+                out.append(Violation(label, "unknown neuron",
+                                     f"synapse {label}: no neuron named {end}"))
+        if not wlo <= s.weight <= whi:
+            out.append(Violation(label, "weight out of range",
+                                 f"synapse {label}: weight {s.weight} outside [{wlo}, {whi}] "
+                                 f"for a {hw.weight_width}-bit weight"))
+        if not 0 <= s.delay <= hw.max_delay:
+            out.append(Violation(label, "delay out of range",
+                                 f"synapse {label}: delay {s.delay} outside [0, {hw.max_delay}]"))
+        fan_in[s.post] = fan_in.get(s.post, 0) + 1
+    for m in net.neurons:
+        budget = hw.ports - (hw.injection_ports if m.injection else 0)
+        if fan_in.get(m.name, 0) > budget:
+            out.append(Violation(m.name, "port budget exceeded",
+                                 f"neuron {m.name}: {fan_in[m.name]} incoming synapses exceed "
+                                 f"the {budget} available ports"))
+    if net.stdp_enabled and not hw.stdp_table:
+        out.append(Violation("network", "stdp unavailable",
+                             "stdp is enabled but the hardware adjustment table is empty"))
+    if not alo <= net.input_spike_amount <= ahi:
+        out.append(Violation("network", "input spike amount out of range",
+                             f"input spike amount {net.input_spike_amount} outside [{alo}, {ahi}]"))
+    return ValidationReport(not out, tuple(out), needed)
+
+
+# The rules a generated network may break, each switched on per network.
+FAULTS = ("duplicate", "unknown_pre", "unknown_post", "threshold", "standard_resting",
+          "refractory_resting", "leak", "abs_refractory", "rel_refractory", "weight", "delay",
+          "ports", "accumulator", "stdp", "input_spike_amount")
+
+
+def faulty_case(rng: random.Random) -> tuple[Network, HardwareConstants]:
+    """A random network and its hardware, breaking each rule of FAULTS with
+    probability 1/4. A value under a broken range rule is drawn now and then
+    from both sides of both bounds; any other stays inside them."""
+    faults = {fault for fault in FAULTS if rng.random() < 0.25}
+    ports = rng.randint(1, 8)
+    hw = small_hw(accumulator_width=rng.randint(2, 9), threshold_width=rng.randint(1, 6),
+                  weight_width=rng.randint(1, 5), max_delay=rng.randint(0, 8),
+                  max_leak=rng.randint(0, 5), max_abs_refractory=rng.randint(0, 5),
+                  max_rel_refractory=rng.randint(0, 5), ports=ports,
+                  injection_ports=rng.randint(0, ports), stdp_table=rng.choice(((), (1, -1))))
+    if "accumulator" not in faults:
+        needed = min_accumulator_width(hw.weight_width, hw.ports, hw.injection_ports)
+        hw = dataclasses.replace(hw, accumulator_width=max(hw.accumulator_width, needed))
+
+    def value(fault: str, lo: int, hi: int) -> int:
+        if fault in faults and rng.random() < 0.2:
+            return rng.choice((lo - 1, lo, hi, hi + 1))
+        return rng.randint(lo, hi)
+
+    tlo, thi = signed_range(hw.threshold_width)
+    alo, ahi = signed_range(hw.accumulator_width)
+    wlo, whi = signed_range(hw.weight_width)
+    n_neurons = rng.choice((0, 1, 2, rng.randint(3, 40), rng.randint(250, 320)))
+    names = [f"n{i}" for i in range(n_neurons)]
+    if "duplicate" in faults and names:
+        names = [rng.choice(names) if rng.random() < 0.1 else name for name in names]
+    neurons = [NeuronSettings(name, threshold=value("threshold", tlo, thi),
+                              standard_resting=value("standard_resting", alo, ahi),
+                              refractory_resting=value("refractory_resting", alo, ahi),
+                              abs_refractory=value("abs_refractory", 0, hw.max_abs_refractory),
+                              rel_refractory=value("rel_refractory", 0, hw.max_rel_refractory),
+                              leak=value("leak", 0, hw.max_leak), injection=rng.random() < 0.3)
+               for name in names]
+
+    def endpoint(fault: str) -> str:
+        if not names or (fault in faults and rng.random() < 0.1):
+            return f"ghost{rng.randint(0, 3)}"
+        # A few hubs take most synapses when the port budget is to be broken.
+        return rng.choice(names[:2] if "ports" in faults and rng.random() < 0.5 else names)
+
+    n_synapses = rng.choice((0, 1, 2, rng.randint(3, 40), rng.randint(250, 320)))
+    synapses = [SynapseSettings(endpoint("unknown_pre"), endpoint("unknown_post"),
+                                value("weight", wlo, whi), value("delay", 0, hw.max_delay))
+                for _ in range(n_synapses)]
+    net = Network(tuple(neurons), tuple(synapses), stdp_enabled="stdp" in faults,
+                  input_spike_amount=value("input_spike_amount", alo, ahi))
+    return net, hw
+
+
+RANGE_MESSAGE = re.compile(r"^([a-z ]+) (-?\d+) outside \[(-?\d+), (-?\d+)\]")
+
+
+def test_validator_matches_the_row_by_row_reference():
+    rng = random.Random(0x5EED)
+    seen_rules: set[str] = set()
+    unknown_sides: set[tuple[bool, bool]] = set()
+    budgets: set[bool] = set()
+    range_sides: set[tuple[str, str]] = set()
+    for _ in range(400):
+        net, hw = faulty_case(rng)
+        report = validate_network(net, hw)
+        assert report == naive_validate(net, hw)
+        seen_rules |= rules_of(report)
+        known = set(net.neurons.name)
+        unknown_sides.add((not known.issuperset(net.synapses.pre),
+                           not known.issuperset(net.synapses.post)))
+        for v in report.violations:
+            if v.rule == "port budget exceeded":
+                budgets.add(v.message.endswith(f" the {hw.ports} available ports"))
+            found = RANGE_MESSAGE.match(v.message.rsplit(": ", 1)[-1])
+            if found:
+                what, value, lo, _ = found.groups()
+                range_sides.add((what, "below" if int(value) < int(lo) else "above"))
+    assert seen_rules == {
+        "accumulator width too small", "duplicate neuron id", "threshold out of range",
+        "resting potential out of range", "leak out of range", "refractory out of range",
+        "unknown neuron", "weight out of range", "delay out of range", "port budget exceeded",
+        "stdp unavailable", "input spike amount out of range"}
+    # Networks with unknown pre-neurons only, unknown post-neurons only, both
+    # and neither; port budgets broken with and without the injection ports
+    # reserved; every range rule broken on both sides.
+    assert unknown_sides == {(False, False), (True, False), (False, True), (True, True)}
+    assert budgets == {False, True}
+    assert range_sides == {(what, side) for side in ("below", "above") for what in (
+        "threshold", "standard resting potential", "refractory resting potential", "leak",
+        "absolute refractory", "relative refractory", "weight", "delay", "input spike amount")}
