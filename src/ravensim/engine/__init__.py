@@ -136,7 +136,7 @@ def _kernel_fits(hw: HardwareConstants, layout: Layout) -> bool:
         hits = Counter(zip(layout.ev_cycle, layout.ev_neuron))
         if max(hits.values()) > room:
             return False
-    limits = (hw.max_delay, hw.max_leak, hw.max_abs_refractory, hw.max_rel_refractory,
+    limits = (layout.ring_slots, hw.max_leak, hw.max_abs_refractory, hw.max_rel_refractory,
               *map(abs, hw.stdp_table))
     return max(limits) < 1 << 62
 

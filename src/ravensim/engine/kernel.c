@@ -37,10 +37,12 @@
    caller checks that before choosing this kernel.
 
    "This cycle" needs no flags that must be cleared again: a synapse
-   delivered in cycle t exactly when its last delivery stamp equals t, and
-   a neuron got a delivery in cycle t when its delivery stamp does.
+   delivered in cycle t exactly when its last delivery stamp equals t, a
+   neuron got a delivery in cycle t when its delivery stamp does, and it
+   fires in cycle t when its exceed stamp is t - 1 (NEVER is below -1).
 
-   The delivery ring keeps one growable slot per (cycle mod slots). A
+   The delivery ring keeps one growable slot per (cycle mod slots), for
+   the longest delay in use + 1 slots; hw.max_delay sizes nothing. A
    synapse enters a slot at most once before the slot drains, because its
    delay is shorter than the ring. A cycle takes one modulo: its slot is
    base = cycle % slots, and a push with delay d goes to base + d, less
@@ -60,6 +62,7 @@
 #include <string.h>
 
 enum { PH_STD = 0, PH_ABS = 1, PH_REL = 2 };
+enum { NEVER = -2 }; /* the stamp for never: below -1, so no cycle t reads it as t - 1 */
 
 typedef struct {
     int64_t *data;
@@ -73,13 +76,13 @@ typedef struct rk {
 
     /* Per-neuron settings, then per-neuron state. last_exceed and
        got_delivery are cycle stamps: the last cycle the charge exceeded the
-       threshold and the last cycle a synapse delivered to the neuron, -1
+       threshold and the last cycle a synapse delivered to the neuron, NEVER
        for never. */
     int64_t *threshold, *std_rest, *ref_rest, *abs_ref, *rel_ref, *leak;
-    int64_t *acc, *phase, *phase_left, *pending, *last_exceed, *got_delivery;
+    int64_t *acc, *phase, *phase_left, *last_exceed, *got_delivery;
 
     /* Per-synapse settings and state, in declaration order. The last
-       delivery is a cycle stamp too, -1 when the synapse never delivered. */
+       delivery is a cycle stamp too, NEVER when the synapse never delivered. */
     int64_t *syn_pre, *syn_post, *syn_weight, *syn_delay, *syn_last_delivery;
 
     /* CSR adjacency in declaration order: the synapses leaving neuron i are
@@ -173,7 +176,7 @@ rk *rk_new(int64_t n, const int64_t *neurons, int64_t n_syn, const int64_t *syna
     k->weight_hi = -k->weight_lo - 1;
 
     k->threshold = block(6, n, neurons);
-    k->acc = block(6, n, NULL);
+    k->acc = block(5, n, NULL);
     k->syn_pre = block(5, n_syn, NULL);
     k->out_start = block(1, 2 * (n + 1) + 3 * n_syn, NULL);
     k->table = block(1, table_len, table);
@@ -195,13 +198,12 @@ rk *rk_new(int64_t n, const int64_t *neurons, int64_t n_syn, const int64_t *syna
 
     k->phase = k->acc + n;
     k->phase_left = k->acc + 2 * n;
-    k->pending = k->acc + 3 * n;
-    k->last_exceed = k->acc + 4 * n;
-    k->got_delivery = k->acc + 5 * n;
+    k->last_exceed = k->acc + 3 * n;
+    k->got_delivery = k->acc + 4 * n;
     for (i = 0; i < n; i++) {
         k->acc[i] = k->std_rest[i];
-        k->last_exceed[i] = -1;
-        k->got_delivery[i] = -1;
+        k->last_exceed[i] = NEVER;
+        k->got_delivery[i] = NEVER;
     }
 
     k->syn_post = k->syn_pre + n_syn;
@@ -209,7 +211,7 @@ rk *rk_new(int64_t n, const int64_t *neurons, int64_t n_syn, const int64_t *syna
     k->syn_delay = k->syn_pre + 3 * n_syn;
     k->syn_last_delivery = k->syn_pre + 4 * n_syn;
     for (i = 0; i < n_syn; i++)
-        k->syn_last_delivery[i] = -1;
+        k->syn_last_delivery[i] = NEVER;
 
     k->pre_start = k->out_start + n + 1;
     k->out_list = k->pre_start + n + 1;
@@ -266,9 +268,8 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
                   *restrict table = k->table, *restrict ev_cycle = k->ev_cycle,
                   *restrict ev_neuron = k->ev_neuron, *restrict ev_value = k->ev_value;
     int64_t *restrict acc = k->acc, *restrict phase = k->phase,
-            *restrict phase_left = k->phase_left, *restrict pending = k->pending,
-            *restrict last_exceed = k->last_exceed, *restrict got_delivery = k->got_delivery,
-            *restrict syn_weight = k->syn_weight,
+            *restrict phase_left = k->phase_left, *restrict last_exceed = k->last_exceed,
+            *restrict got_delivery = k->got_delivery, *restrict syn_weight = k->syn_weight,
             *restrict syn_last_delivery = k->syn_last_delivery;
     slot *restrict ring = k->ring;
     const int64_t *restrict now;
@@ -279,7 +280,7 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
     for (i = 0; i < n; i++) {
         a = acc[i];
         ph = phase[i];
-        if (pending[i]) {
+        if (last_exceed[i] == t - 1) {
             if (fired && push(fired, i) < 0)
                 return -1;
             count++;
@@ -293,7 +294,6 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
             ph = abs_ref[i] > 0 ? PH_ABS : rel_ref[i] > 0 ? PH_REL : PH_STD;
             phase[i] = ph;
             phase_left[i] = abs_ref[i] > 0 ? abs_ref[i] : rel_ref[i];
-            pending[i] = 0;
         }
         lk = ph == PH_ABS ? 0 : leak[i];
         fl = ph == PH_STD ? std_rest[i] : ref_rest[i];
@@ -327,7 +327,6 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
     for (i = 0; i < n; i++) {
         a = acc[i];
         if (a > threshold[i]) {
-            pending[i] = 1;
             if (stdp)
                 for (x = pre_start[i]; x < pre_start[i + 1]; x++) {
                     j = pre_list[x];

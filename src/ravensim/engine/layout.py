@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
-from ..netmodel import HardwareConstants, Network, signed_range
+from ..netmodel import HardwareConstants, Network, delivery_slots, signed_range
 from .events import INJECTION, Events, Stimulus
 
 
@@ -43,7 +43,7 @@ class Layout:
     ev_neuron: Sequence[int]
     ev_value: Sequence[int]
 
-    ring_slots: int
+    ring_slots: int  # the longest delay in use + 1 (netmodel.delivery_slots)
     stdp_enabled: bool
     stdp_table: tuple[int, ...]
     weight_width: int
@@ -132,7 +132,7 @@ def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
         ev_neuron=_indices(index, ev_neuron),
         ev_value=[value if kind == INJECTION else amount
                   for kind, value in zip(ev_kind, ev_value)],
-        ring_slots=hw.max_delay + 1,
+        ring_slots=delivery_slots(net),
         stdp_enabled=net.stdp_enabled,
         stdp_table=tuple(hw.stdp_table),
         weight_width=hw.weight_width,

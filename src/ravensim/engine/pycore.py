@@ -1,9 +1,10 @@
 """Pure-Python cycle core: the cycle of kernel.c, step by step.
 
 FIRE then LEAK for each neuron, DELIVER, the charge report, then SETTLE for
-each neuron, with "this cycle" read from cycle stamps. The four phases are
-specified in README "Cycle model" and written out one by one in reference.py;
-kernel.c's header argues that these two passes run them exactly.
+each neuron, with "this cycle" read from cycle stamps; a neuron fires in cycle
+t when its exceed stamp is t - 1. The four phases are specified in README
+"Cycle model" and written out one by one in reference.py; kernel.c's header
+argues that these two passes run them exactly.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ class PyEngine:
         self.acc = list(layout.standard_resting)
         self.phase = [PHASE_STANDARD] * n
         self.phase_left = [0] * n
-        self.pending = [False] * n
         # Cycle stamps: the last cycle the charge exceeded the threshold, a
-        # synapse delivered to the neuron, and the synapse delivered.
-        self.last_exceed = [-1] * n
-        self.got_delivery = [-1] * n
-        self.syn_last_delivery = [-1] * n_syn
+        # synapse delivered to the neuron, and the synapse delivered; -2 for
+        # never, which no cycle t reads as t - 1.
+        self.last_exceed = [-2] * n
+        self.got_delivery = [-2] * n
+        self.syn_last_delivery = [-2] * n_syn
 
         self.cycle = 0
         # Appended (scheduled cycle, delivery cycle, synapse index) when given.
@@ -57,14 +58,14 @@ class PyEngine:
         lay = self.lay
         std_rest, ref_rest = lay.standard_resting, lay.refractory_resting
         abs_ref, rel_ref, leak = lay.abs_refractory, lay.rel_refractory, lay.leak
-        acc, phase, phase_left, pending = self.acc, self.phase, self.phase_left, self.pending
-        ring, slots, delay = self.ring, lay.ring_slots, lay.syn_delay
+        acc, phase, phase_left = self.acc, self.phase, self.phase_left
+        last_exceed, ring, slots, delay = self.last_exceed, self.ring, lay.ring_slots, lay.syn_delay
         weight, last_delivery, got = self.weight, self.syn_last_delivery, self.got_delivery
 
         # FIRE, then LEAK, suspended during absolute refractory
         fired: list[int] = []
         for i in range(self.n):
-            if pending[i]:
+            if last_exceed[i] == t - 1:
                 fired.append(i)
                 for j in self.out_synapses[i]:
                     ring[(t + delay[j]) % slots].append(j)
@@ -78,7 +79,6 @@ class PyEngine:
                 else:
                     phase[i] = PHASE_STANDARD
                     phase_left[i] = 0
-                pending[i] = False
             if leak[i] <= 0 or phase[i] == PHASE_ABSOLUTE:
                 continue
             floor = std_rest[i] if phase[i] == PHASE_STANDARD else ref_rest[i]
@@ -113,7 +113,7 @@ class PyEngine:
 
         # SETTLE: threshold comparison and STDP, then the resting floors and
         # the refractory bookkeeping
-        threshold, last_exceed, pre_synapses = lay.threshold, self.last_exceed, self.pre_synapses
+        threshold, pre_synapses = lay.threshold, self.pre_synapses
         table = lay.stdp_table
         tsize = len(table)
         stdp = lay.stdp_enabled and tsize > 0
@@ -122,7 +122,6 @@ class PyEngine:
         for i in range(self.n):
             charge = acc[i]
             if charge > threshold[i]:
-                pending[i] = True
                 if stdp:
                     for j in pre_synapses[i]:
                         last = last_delivery[j]

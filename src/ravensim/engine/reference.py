@@ -3,11 +3,12 @@
 Deliberately written without the production engine's machinery: no delivery
 ring, no adjacency lists, no shared helper imports. Every cycle it walks the
 full synapse list and looks each pre-neuron up in the fire set of cycle
-t - delay, kept for every cycle run, so a delivery happens at cycle t exactly
-when the pre-neuron fired at cycle t - delay. STDP is one more walk over the
-synapses, each adjusted by the rule of its post-neuron. Slow and simple on
-purpose: every cycle costs time linear in the number of synapses, where the
-production cores touch only the synapses that deliver.
+t - delay, kept for as many cycles as the longest delay reaches back, so a
+delivery happens at cycle t exactly when the pre-neuron fired at cycle
+t - delay. STDP is one more walk over the synapses, each adjusted by the
+rule of its post-neuron. Slow and simple on purpose: every cycle costs time
+linear in the number of synapses, where the production cores touch only the
+synapses that deliver.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ class ReferenceEngine:
         self.anchor: dict[str, int | None] = {m.name: None for m in neurons}
         self.weight = {j: s.weight for j, s in enumerate(net.synapses)}
         self.last_delivery: dict[int, int | None] = {j: None for j in range(len(net.synapses))}
-        self.history: list[set[str]] = []  # the fire set of every cycle run
+        self.cycle = 0
+        self.fired_at: dict[int, set[str]] = {}  # by cycle, for the last `reach` cycles
+        self.reach = max((s.delay for s in self.synapses), default=0) + 1
         lo = -(1 << (hw.weight_width - 1))
         self.bounds = (lo, -lo - 1)
 
@@ -65,9 +68,10 @@ class ReferenceEngine:
                 trace.add(fired, charges)
 
     def _cycle(self) -> tuple[list[int], list[int]]:
-        t = len(self.history)
+        t = self.cycle
         fired = [name for name in self.names if self.pending[name]]
-        self.history.append(set(fired))
+        self.fired_at[t] = set(fired)
+        self.fired_at.pop(t - self.reach, None)
         for name in fired:
             m = self.settings[name]
             self.acc[name] = m.refractory_resting if m.rel_refractory > 0 else m.standard_resting
@@ -93,7 +97,7 @@ class ReferenceEngine:
         delivered: set[int] = set()
         for j, s in enumerate(self.synapses):
             born = t - s.delay
-            if born < 0 or s.pre not in self.history[born]:
+            if born < 0 or s.pre not in self.fired_at[born]:
                 continue
             delivered.add(j)
             self.last_delivery[j] = t
@@ -153,7 +157,8 @@ class ReferenceEngine:
                     else:
                         self.mode[name] = _STD
 
-        return [i for i, name in enumerate(self.names) if name in self.history[t]], charges
+        self.cycle = t + 1
+        return [i for i, name in enumerate(self.names) if name in self.fired_at[t]], charges
 
     def charges(self) -> list[int]:
         return [self.acc[name] for name in self.names]

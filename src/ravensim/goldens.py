@@ -10,7 +10,6 @@ charges cell by cell.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
@@ -20,7 +19,7 @@ from .engine import CycleReport, Trace, new_engine
 from .ioformats import (
     FormatError,
     _field,
-    _reject_duplicate_keys,
+    _parse_json,
     load_hardware,
     load_network,
     load_stimulus,
@@ -65,14 +64,8 @@ def default_fixtures_dir() -> Path:
 
 def load_case(case_dir: Path | str) -> GoldenCase:
     case_dir = Path(case_dir)
-    manifest_path = case_dir / "case.json"
-    where = str(manifest_path)
-    text = read_text(manifest_path)
-    try:
-        manifest = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{where}: {e.msg}") from None
-    _reject_duplicate_keys(text, manifest, where)
+    where = str(case_dir / "case.json")
+    manifest = _parse_json(read_text(where), where)
     if not isinstance(manifest, dict):
         raise FormatError(f"{where}: must be a JSON object")
     cycles = _field(manifest, "cycles", None, int, where)

@@ -95,10 +95,12 @@ def _reject_duplicate_keys(text: str, doc: Any, where: str) -> None:
 
 
 def _parse_json(text: str, where: str) -> Any:
+    """text as JSON; a decode error or a repeated key raises a FormatError naming where."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise FormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        raise FormatError(f"{where}: parse error at line {e.lineno}, column {e.colno}: "
+                          f"{e.msg}") from None
     _reject_duplicate_keys(text, doc, where)
     return doc
 
@@ -418,11 +420,7 @@ def parse_trace_jsonl(text: str) -> Trace:
         if not line.strip():
             continue
         where = f"trace line {lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{where}: {e.msg}") from None
-        _reject_duplicate_keys(line, obj, where)
+        obj = _parse_json(line, where)
         if not isinstance(obj, dict):
             raise FormatError(f"{where}: must be an object")
         cycle = _field(obj, "cycle", None, int, where)

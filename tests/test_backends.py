@@ -25,6 +25,7 @@ from ravensim import (
     available_backends,
     new_engine,
     new_reference_engine,
+    resource_report,
     validate_network,
 )
 from ravensim.cli import EXIT_OK, main
@@ -424,6 +425,77 @@ def test_backends_agree_on_the_dense_benchmark_shape(backend):
     assert other.charges() == py.charges()
     assert other.weights() == py.weights() != list(net.synapses.weight)
     assert other.phases() == py.phases()
+
+
+def delay_setup(max_delay: int, delays: tuple[int, ...]):
+    """Neurons A and B with synapses of the given delays, A->B, B->A, A->B
+    and so on, on hardware allowing delays up to max_delay. A kick at
+    cycles 0 and 4 fires A, which fires B when the first synapse delivers."""
+    net = Network((NeuronSettings("A", threshold=2), NeuronSettings("B", threshold=2)),
+                  tuple(SynapseSettings("AB"[j % 2], "BA"[j % 2], 3, delay)
+                        for j, delay in enumerate(delays)),
+                  stdp_enabled=True, input_spike_amount=3)
+    hw = HardwareConstants(
+        accumulator_width=8, threshold_width=4, weight_width=4, max_delay=max_delay,
+        max_leak=2, max_abs_refractory=2, max_rel_refractory=2, ports=4,
+        injection_ports=0, stdp_table=(1, 2, -1))
+    return net, hw, Stimulus((StimulusEvent(0, "A"), StimulusEvent(4, "A")))
+
+
+@pytest.mark.parametrize("delays, slots", [((), 1), ((1,), 2), ((0, 3, 1, 2, 0, 3, 1), 4)],
+                         ids=["no_synapses", "one_synapse", "seven_synapses"])
+def test_ring_slots_are_the_longest_delay_in_use(delays, slots):
+    net, hw, stim = delay_setup(2**40, delays)
+    assert validate_network(net, hw).ok
+    assert build_layout(net, hw, stim).ring_slots == slots
+    assert f"delivery buffer slots: {slots}" in resource_report(net, hw).splitlines()
+
+
+@pytest.mark.parametrize("backend", [COMPILED, "reference"])
+def test_hardware_max_delay_sizes_no_engine(backend):
+    # Delays of up to 2**40 cycles are allowed, and one of 1 is in use: the
+    # ring is sized by the delay, so every backend builds and runs alike.
+    net, hw, stim = delay_setup(2**40, (1,))
+    py = new_engine(net, hw, stim, backend="python")
+    other = new_engine(net, hw, stim, backend=backend)
+    trace = py.run(10)
+    assert other.run(10) == trace
+    assert [report.fired for report in trace if report.fired] == [("A",), ("B",)] * 2
+    assert other.charges() == py.charges()
+    assert other.weights() == py.weights() != list(net.synapses.weight)
+    assert other.phases() == py.phases()
+
+
+LONG_RUN = """
+import resource, sys
+from ravensim import HardwareConstants, Network, NeuronSettings, SynapseSettings, new_engine
+from ravensim.engine import Stimulus, StimulusEvent
+net = Network((NeuronSettings("A", threshold=1),), (SynapseSettings("A", "A", 2, 3),),
+              input_spike_amount=2)
+hw = HardwareConstants(accumulator_width=8, threshold_width=4, weight_width=4, max_delay=4,
+                       max_leak=2, max_abs_refractory=2, max_rel_refractory=2, ports=2,
+                       injection_ports=0)
+engine = new_engine(net, hw, Stimulus((StimulusEvent(0, "A"),)), backend=sys.argv[1])
+engine.advance(1000)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+engine.advance(200000)
+print(sum(engine.run(8).counts), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.parametrize("backend", ["python", COMPILED, "reference"])
+def test_long_runs_hold_no_more_memory(backend):
+    # A self-loop of delay 3 fires its neuron every fourth cycle. After
+    # 200,000 more cycles, the peak resident size of a fresh process, which
+    # bounds the memory its engine holds, C allocations included, has grown
+    # by less than 1 MB.
+    src = Path(ravensim.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LONG_RUN, backend], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    fires, grown_kb = map(int, proc.stdout.split())
+    assert fires == 2
+    assert grown_kb < 1024
 
 
 EDGE_SYNAPSES = (SynapseSettings("A", "B", 3, 0), SynapseSettings("B", "A", -2, 1))

@@ -41,7 +41,7 @@ def test_validate_ok(case_paths, capsys):
 
 
 def test_validate_reports_violations(tmp_path, case_paths, capsys):
-    doc = json.loads(open(case_paths["net"]).read())
+    doc = json.loads(Path(case_paths["net"]).read_text())
     doc["synapses"][0]["delay"] = 99
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -309,3 +309,24 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "12/12 passed" in proc.stdout
+
+
+def test_validate_names_a_network_file_that_is_not_json(tmp_path, case_paths, capsys):
+    bad = tmp_path / "truncated.json"
+    bad.write_text('{"format": 1, "neurons": [')
+    code = main(["validate", "--hw", case_paths["hw"], "--net", str(bad)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: network file: parse error at line 1, column 27: Expecting value\n")
+
+
+def test_report_refuses_a_network_that_fails_validation(tmp_path, case_paths, capsys):
+    doc = json.loads(Path(case_paths["net"]).read_text())
+    doc["synapses"][0]["delay"] = 99
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["report", "--hw", case_paths["hw"], "--net", str(bad)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == "violation [delay out of range] synapse Main->Main: delay 99 outside [0, 8]\n"

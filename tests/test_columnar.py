@@ -198,3 +198,10 @@ def test_a_loaded_stimulus_is_checked_against_another_network(stimulus_checks):
     with pytest.raises(ValueError, match='^stimulus event #1: unknown neuron "B"$'):
         new_engine(net_b, hw, stim)
     assert len(stimulus_checks) == 1
+
+
+def test_stimulus_event_checks_its_record():
+    with pytest.raises(ValueError, match=r"^stimulus cycle must be >= 0$"):
+        StimulusEvent(-1, "A")
+    with pytest.raises(ValueError, match=r"^unknown stimulus kind: poke$"):
+        StimulusEvent(0, "A", "poke")

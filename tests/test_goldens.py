@@ -180,3 +180,10 @@ def test_load_case_rejects_duplicate_manifest_keys(tmp_path, cases_by_name):
     message = f'{tmp_path / "case.json"}: duplicate key "cycles"'
     with pytest.raises(goldens.FormatError, match=f"^{re.escape(message)}$"):
         goldens.load_case(tmp_path)
+
+
+def test_load_case_names_a_manifest_that_is_not_json(tmp_path):
+    (tmp_path / "case.json").write_text('{"name": ')
+    message = f"{tmp_path / 'case.json'}: parse error at line 1, column 10: Expecting value"
+    with pytest.raises(goldens.FormatError, match=f"^{re.escape(message)}$"):
+        goldens.load_case(tmp_path)

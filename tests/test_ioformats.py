@@ -561,3 +561,12 @@ def test_colons_inside_strings_are_no_duplicate_keys():
         parse_network(net_text(settings={"stdp": {"x:": 1}}))
     trace = parse_trace_jsonl('{"cycle": 0, "fired": ["a:b"], "charges": {"a:b": 1, ":": 2}}')
     assert trace.names == ("a:b", ":") and list(trace.fired) == [0]
+
+
+def test_parse_trace_jsonl_names_the_line_of_each_error():
+    good = '{"cycle": 0, "fired": [], "charges": {"A": 1}}'
+    with pytest.raises(FormatError, match=r"^trace line 3: parse error at line 1, column 2: "
+                       r"Expecting property name enclosed in double quotes$"):
+        parse_trace_jsonl(f"{good}\n\n{{broken")
+    with pytest.raises(FormatError, match=r'^trace line 2: "charges" must be an object$'):
+        parse_trace_jsonl(f'{good}\n{{"cycle": 1, "fired": [], "charges": [1]}}')

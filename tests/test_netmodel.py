@@ -449,3 +449,17 @@ def test_validator_matches_the_row_by_row_reference():
     assert range_sides == {(what, side) for side in ("below", "above") for what in (
         "threshold", "standard resting potential", "refractory resting potential", "leak",
         "absolute refractory", "relative refractory", "weight", "delay", "input spike amount")}
+
+
+def test_min_accumulator_width_checks_its_arguments():
+    with pytest.raises(ValueError, match=r"^weight width must be >= 1$"):
+        min_accumulator_width(0, 1, 0)
+    with pytest.raises(ValueError, match=r"^port count must be >= 1$"):
+        min_accumulator_width(1, 0, 0)
+    with pytest.raises(ValueError, match=r"^injection ports must lie in \[0, ports\]$"):
+        min_accumulator_width(1, 1, 2)
+
+
+def test_hardware_constants_reject_a_non_integer_stdp_entry():
+    with pytest.raises(ValueError, match=r"^stdp_table entries must be integers$"):
+        small_hw(stdp_table=(1, "x"))
