@@ -62,7 +62,7 @@ def _bind(path: Path):
 
     lib = ctypes.CDLL(str(path))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.rk_new.argtypes = [i64, ptr, i64, ptr, i64, ptr, i64, i64, ptr, i64, i64]
+    lib.rk_new.argtypes = [i64, i64, i64, i64, i64, i64, i64, ptr]
     lib.rk_new.restype = ptr
     lib.rk_free.argtypes = [ptr]
     lib.rk_free.restype = None
@@ -119,14 +119,13 @@ class CompiledEngine:
         self._n = n = len(layout.names)
         self._n_syn = len(layout.syn_pre)
 
-        neurons = _int64s(layout.threshold, layout.standard_resting, layout.refractory_resting,
-                          layout.abs_refractory, layout.rel_refractory, layout.leak)
-        synapses = _int64s(layout.syn_pre, layout.syn_post, layout.syn_weight, layout.syn_delay)
-        events = _int64s(layout.ev_cycle, layout.ev_neuron, layout.ev_value)
-        self._k = lib.rk_new(n, neurons, self._n_syn, synapses,
-                             len(layout.ev_cycle), events, layout.ring_slots,
-                             len(layout.stdp_table), _int64s(layout.stdp_table),
-                             layout.stdp_enabled, layout.weight_width)
+        table = layout.stdp_table
+        packed = _int64s(layout.threshold, layout.standard_resting, layout.refractory_resting,
+                         layout.abs_refractory, layout.rel_refractory, layout.leak,
+                         layout.syn_pre, layout.syn_post, layout.syn_weight, layout.syn_delay,
+                         layout.ev_cycle, layout.ev_neuron, layout.ev_value, table)
+        self._k = lib.rk_new(n, self._n_syn, len(layout.ev_cycle), len(table), layout.ring_slots,
+                             layout.stdp_enabled, layout.weight_width, packed)
         if not self._k:
             raise MemoryError("cannot allocate the kernel state")
         weakref.finalize(self, lib.rk_free, self._k)
@@ -142,6 +141,7 @@ class CompiledEngine:
                                         trace.charges.buffer_info()[0]))
         trace.fired = _zeros(fires)
         self._lib.rk_fired(self._k, trace.fired.buffer_info()[0])
+        trace._added = n_cycles  # every cycle is filled: Trace.add refuses another
 
     def charges(self) -> list[int]:
         charges = _zeros(self._n)

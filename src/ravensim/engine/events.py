@@ -132,8 +132,11 @@ class Trace(Sequence[CycleReport]):
 
     def add(self, fired: Sequence[int], charges: Sequence[int]) -> None:
         """Fills the next cycle: the indices that fired and every charge, in
-        names order. A charge beyond 64 bits turns the charge block into a list."""
+        names order. A charge beyond 64 bits turns the charge block into a list.
+        IndexError, with every column as it was, when every cycle is filled."""
         c, n = self._added, len(self.names)
+        if c == len(self.counts):
+            raise IndexError("every cycle of the trace is filled")
         self._added = c + 1
         self.fired.extend(fired)
         self.counts[c] = len(fired)

@@ -1,16 +1,18 @@
 /* Cycle kernel of the compiled backend.
 
    Plain C99 with no Python headers: compiled.py builds it with cc into a
-   shared library and drives it through ctypes. All state is int64_t arrays
-   owned by one rk struct. The exported ABI is rk_new, rk_free, rk_run,
-   rk_fired and rk_read. rk_run(k, n, counts, charges) runs n cycles in one
-   call and returns the number of fires. Given caller-owned blocks, it
-   records every cycle's fire count and charges in them, and logs the
-   indices of the neurons that fired, cycle after cycle, in a buffer the
-   kernel owns and grows; rk_fired(k, dst) then copies that log into a
-   block of exactly as many values. With NULL blocks rk_run only advances.
-   The blocks are those of the Trace that Engine.run allocates, which the
-   Python cores fill a cycle at a time through Trace.add.
+   shared library and drives it through ctypes. All fixed-size state is
+   int64_t arrays cut from one block that the rk struct owns; the delivery
+   ring and the fired log grow, and are the only other allocations. The
+   exported ABI is rk_new, rk_free, rk_run, rk_fired and rk_read.
+   rk_run(k, n, counts, charges) runs n cycles in one call and returns the
+   number of fires. Given caller-owned blocks, it records every cycle's
+   fire count and charges in them, and logs the indices of the neurons
+   that fired, cycle after cycle, in a buffer the kernel owns and grows;
+   rk_fired(k, dst) then copies that log into a block of exactly as many
+   values. With NULL blocks rk_run only advances. The blocks are those of
+   the Trace that Engine.run allocates, which the Python cores fill a
+   cycle at a time through Trace.add.
 
    Each cycle runs the four phases of the cycle specification (fire, leak,
    deliver, settle; README "Cycle model", written out phase by phase in
@@ -37,9 +39,10 @@
    caller checks that before choosing this kernel.
 
    "This cycle" needs no flags that must be cleared again: a synapse
-   delivered in cycle t exactly when its last delivery stamp equals t, a
-   neuron got a delivery in cycle t when its delivery stamp does, and it
-   fires in cycle t when its exceed stamp is t - 1 (NEVER is below -1).
+   delivered in cycle t exactly when its last delivery stamp equals t, and
+   a neuron fires in cycle t when its exceed stamp is t - 1 (NEVER is
+   below -1). A neuron needs no stamp of its own for "got a delivery":
+   STDP depression tests the stamp of each synapse into it.
 
    The delivery ring keeps one growable slot per (cycle mod slots), for
    the longest delay in use + 1 slots; hw.max_delay sizes nothing. A
@@ -49,13 +52,13 @@
    slots when that reaches slots.
 
    rk_step copies every field and array pointer it reads into locals before
-   its loops and qualifies the arrays restrict. That holds because each
-   array is its own range of n or n_syn values (or of the table, the events
-   or a ring slot) that no other array overlaps, and none of them covers a
-   field of k. So a store through one array does not make the compiler
-   load the others, or k's fields, again. LEAK and the resting floors are
-   conditional expressions, which compile to conditional moves rather than
-   branches that go either way about half the time. */
+   its loops and qualifies the arrays restrict. That holds because the
+   arrays are disjoint ranges of the state block, or a ring slot's own
+   allocation, and none of them covers a field of k. So a store through
+   one array does not make the compiler load the others, or k's fields,
+   again. LEAK and the resting floors are conditional expressions, which
+   compile to conditional moves rather than branches that go either way
+   about half the time. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -70,47 +73,46 @@ typedef struct {
     int64_t cap;
 } slot;
 
+/* Every array pointer of an rk points into its one state block, whose
+   ranges follow one another in the order of the fields below: first the
+   input rk_new copies (the neuron settings, the synapse columns, the
+   events, the STDP table), then the state and the adjacency rk_new builds.
+   A range of zero values takes no room, so its pointer may equal the
+   next one's; nothing reads through it. */
 typedef struct rk {
     int64_t n, n_syn, n_ev, slots, table_len, stdp, weight_lo, weight_hi;
     int64_t cycle, ev_cursor;
 
-    /* Per-neuron settings, then per-neuron state. last_exceed and
-       got_delivery are cycle stamps: the last cycle the charge exceeded the
-       threshold and the last cycle a synapse delivered to the neuron, NEVER
-       for never. */
+    /* Per-neuron settings, n values each; threshold starts the block. */
     int64_t *threshold, *std_rest, *ref_rest, *abs_ref, *rel_ref, *leak;
-    int64_t *acc, *phase, *phase_left, *last_exceed, *got_delivery;
 
-    /* Per-synapse settings and state, in declaration order. The last
-       delivery is a cycle stamp too, NEVER when the synapse never delivered. */
-    int64_t *syn_pre, *syn_post, *syn_weight, *syn_delay, *syn_last_delivery;
+    /* Per-synapse settings in declaration order, n_syn values each. The
+       weights change under STDP. */
+    int64_t *syn_pre, *syn_post, *syn_weight, *syn_delay;
+
+    /* Stimulus events sorted by cycle, n_ev values each; the value is what
+       the event adds, the input spike amount or the injected charge. */
+    int64_t *ev_cycle, *ev_neuron, *ev_value;
+
+    int64_t *table; /* table_len values */
+
+    /* Per-neuron state. phase_left follows phase, so rk_read copies both in
+       one go. last_exceed is a cycle stamp: the last cycle the charge
+       exceeded the threshold, NEVER for never. */
+    int64_t *acc, *phase, *phase_left, *last_exceed;
+
+    /* The cycle stamp of each synapse's last delivery, NEVER for never. */
+    int64_t *syn_last_delivery;
 
     /* CSR adjacency in declaration order: the synapses leaving neuron i are
        out_list[out_start[i] .. out_start[i + 1]), with their delays at the
        same places of out_delay; those entering it are
        pre_list[pre_start[i] .. pre_start[i + 1]). */
-    int64_t *out_start, *out_list, *out_delay, *pre_start, *pre_list;
-
-    int64_t *table;
-
-    /* Stimulus events sorted by cycle; the value is what the event adds,
-       the input spike amount or the injected charge. */
-    int64_t *ev_cycle, *ev_neuron, *ev_value;
+    int64_t *out_start, *pre_start, *out_list, *out_delay, *pre_list;
 
     slot *ring;
     slot fired; /* the fired indices logged by the current recording rk_run */
 } rk;
-
-/* A zeroed block of cols * n values, with the first cols * n values copied
-   from src when src is given. Never returns a zero-size allocation. */
-static int64_t *block(int64_t cols, int64_t n, const int64_t *src)
-{
-    size_t count = (size_t)(cols * n);
-    int64_t *p = calloc(count ? count : 1, sizeof *p);
-    if (p && src && count)
-        memcpy(p, src, count * sizeof *p);
-    return p;
-}
 
 /* Stable counting sort of synapse indices by key into CSR form. start must
    hold n + 1 zeros. */
@@ -140,29 +142,25 @@ void rk_free(rk *k)
     free(k->ring);
     free(k->fired.data);
     free(k->threshold);
-    free(k->acc);
-    free(k->syn_pre);
-    free(k->out_start);
-    free(k->table);
-    free(k->ev_cycle);
     free(k);
 }
 
-/* neurons holds six columns of n values: threshold, standard resting,
-   refractory resting, absolute refractory, relative refractory, leak.
-   synapses holds four columns of n_syn values: pre, post, weight, delay.
-   events holds three columns of n_ev values: cycle, neuron, value, with
-   cycles non-decreasing. Every neuron index lies in [0, n), every delay in
-   [0, slots), every leak and refractory period is >= 0 (validate_network
-   checks all of these) and 1 <= weight_width <= 63. rk_step relies on the
-   signs: a leak of 0 leaves a charge as it is without a test, and a neuron
-   with neither refractory period has a relative period of exactly 0.
-   Returns NULL when an allocation fails. */
-rk *rk_new(int64_t n, const int64_t *neurons, int64_t n_syn, const int64_t *synapses,
-           int64_t n_ev, const int64_t *events, int64_t slots,
-           int64_t table_len, const int64_t *table, int64_t stdp, int64_t weight_width)
+/* input holds, end to end, six columns of n values (threshold, standard
+   resting, refractory resting, absolute refractory, relative refractory,
+   leak), four columns of n_syn values (pre, post, weight, delay), three
+   columns of n_ev values (cycle, neuron, value, with cycles
+   non-decreasing) and the table_len entries of the STDP table. Every
+   neuron index lies in [0, n), every delay in [0, slots), every leak and
+   refractory period is >= 0 (validate_network checks all of these) and
+   1 <= weight_width <= 63. rk_step relies on the signs: a leak of 0 leaves
+   a charge as it is without a test, and a neuron with neither refractory
+   period has a relative period of exactly 0. Returns NULL when an
+   allocation fails. */
+rk *rk_new(int64_t n, int64_t n_syn, int64_t n_ev, int64_t table_len, int64_t slots,
+           int64_t stdp, int64_t weight_width, const int64_t *input)
 {
-    int64_t i;
+    const int64_t given = 6 * n + 4 * n_syn + 3 * n_ev + table_len;
+    int64_t i, *p;
     rk *k = calloc(1, sizeof *k);
     if (!k)
         return NULL;
@@ -175,55 +173,52 @@ rk *rk_new(int64_t n, const int64_t *neurons, int64_t n_syn, const int64_t *syna
     k->weight_lo = -((int64_t)1 << (weight_width - 1));
     k->weight_hi = -k->weight_lo - 1;
 
-    k->threshold = block(6, n, neurons);
-    k->acc = block(5, n, NULL);
-    k->syn_pre = block(5, n_syn, NULL);
-    k->out_start = block(1, 2 * (n + 1) + 3 * n_syn, NULL);
-    k->table = block(1, table_len, table);
-    k->ev_cycle = block(3, n_ev, events);
+    /* The state block: the input, 4n + n_syn values of state and
+       2(n + 1) + 3 n_syn of adjacency, so never a zero-size allocation.
+       slots is at least 1. */
+    k->threshold = p = calloc((size_t)(given + 4 * n + n_syn + 2 * (n + 1) + 3 * n_syn),
+                              sizeof *p);
     k->ring = calloc((size_t)slots, sizeof *k->ring);
-    if (!k->threshold || !k->acc || !k->syn_pre || !k->out_start || !k->table
-        || !k->ev_cycle || !k->ring) {
+    if (!p || !k->ring) {
         rk_free(k);
         return NULL;
     }
-    if (n_syn)
-        memcpy(k->syn_pre, synapses, (size_t)(4 * n_syn) * sizeof *synapses);
+    if (given)
+        memcpy(p, input, (size_t)given * sizeof *p);
+    k->std_rest = p += n;
+    k->ref_rest = p += n;
+    k->abs_ref = p += n;
+    k->rel_ref = p += n;
+    k->leak = p += n;
+    k->syn_pre = p += n;
+    k->syn_post = p += n_syn;
+    k->syn_weight = p += n_syn;
+    k->syn_delay = p += n_syn;
+    k->ev_cycle = p += n_syn;
+    k->ev_neuron = p += n_ev;
+    k->ev_value = p += n_ev;
+    k->table = p += n_ev;
+    k->acc = p += table_len;
+    k->phase = p += n;
+    k->phase_left = p += n;
+    k->last_exceed = p += n;
+    k->syn_last_delivery = p += n;
+    k->out_start = p += n_syn;
+    k->pre_start = p += n + 1;
+    k->out_list = p += n + 1;
+    k->out_delay = p += n_syn;
+    k->pre_list = p + n_syn;
 
-    k->std_rest = k->threshold + n;
-    k->ref_rest = k->threshold + 2 * n;
-    k->abs_ref = k->threshold + 3 * n;
-    k->rel_ref = k->threshold + 4 * n;
-    k->leak = k->threshold + 5 * n;
-
-    k->phase = k->acc + n;
-    k->phase_left = k->acc + 2 * n;
-    k->last_exceed = k->acc + 3 * n;
-    k->got_delivery = k->acc + 4 * n;
     for (i = 0; i < n; i++) {
         k->acc[i] = k->std_rest[i];
         k->last_exceed[i] = NEVER;
-        k->got_delivery[i] = NEVER;
     }
-
-    k->syn_post = k->syn_pre + n_syn;
-    k->syn_weight = k->syn_pre + 2 * n_syn;
-    k->syn_delay = k->syn_pre + 3 * n_syn;
-    k->syn_last_delivery = k->syn_pre + 4 * n_syn;
     for (i = 0; i < n_syn; i++)
         k->syn_last_delivery[i] = NEVER;
-
-    k->pre_start = k->out_start + n + 1;
-    k->out_list = k->pre_start + n + 1;
-    k->out_delay = k->out_list + n_syn;
-    k->pre_list = k->out_delay + n_syn;
     csr(n, n_syn, k->syn_pre, k->out_start, k->out_list);
     csr(n, n_syn, k->syn_post, k->pre_start, k->pre_list);
     for (i = 0; i < n_syn; i++)
         k->out_delay[i] = k->syn_delay[k->out_list[i]];
-
-    k->ev_neuron = k->ev_cycle + n_ev;
-    k->ev_value = k->ev_cycle + 2 * n_ev;
     return k;
 }
 
@@ -269,8 +264,7 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
                   *restrict ev_neuron = k->ev_neuron, *restrict ev_value = k->ev_value;
     int64_t *restrict acc = k->acc, *restrict phase = k->phase,
             *restrict phase_left = k->phase_left, *restrict last_exceed = k->last_exceed,
-            *restrict got_delivery = k->got_delivery, *restrict syn_weight = k->syn_weight,
-            *restrict syn_last_delivery = k->syn_last_delivery;
+            *restrict syn_weight = k->syn_weight, *restrict syn_last_delivery = k->syn_last_delivery;
     slot *restrict ring = k->ring;
     const int64_t *restrict now;
     int64_t i, j, p, x, e, s, a, ph, lk, fl, w, delta, last, size, count = 0;
@@ -308,7 +302,6 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
         j = now[x];
         syn_last_delivery[j] = t;
         p = syn_post[j];
-        got_delivery[p] = t;
         acc[p] += phase[p] == PH_ABS ? 0 : syn_weight[j];
     }
     ring[base].size = 0;
@@ -337,7 +330,7 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
                     }
                 }
             last_exceed[i] = t;
-        } else if (stdp && got_delivery[i] == t && last_exceed[i] >= 0
+        } else if (stdp && last_exceed[i] >= 0
                    && half + (t - last_exceed[i]) < table_len) {
             delta = table[half + (t - last_exceed[i])];
             for (x = pre_start[i]; x < pre_start[i + 1]; x++) {
@@ -404,7 +397,7 @@ int64_t rk_fired(const rk *k, int64_t *dst)
 
 /* Copies the charges (n values), the synapse weights (n_syn values) and the
    phases followed by the cycles left in each (2n values) into the buffers
-   given; any may be NULL. phase_left follows phase in k's state block, so
+   given; any may be NULL. phase_left follows phase in the state block, so
    the phases take one copy. Returns the number of cycles run. */
 int64_t rk_read(const rk *k, int64_t *charges, int64_t *weights, int64_t *phases)
 {

@@ -37,11 +37,11 @@ class PyEngine:
         self.acc = list(layout.standard_resting)
         self.phase = [PHASE_STANDARD] * n
         self.phase_left = [0] * n
-        # Cycle stamps: the last cycle the charge exceeded the threshold, a
-        # synapse delivered to the neuron, and the synapse delivered; -2 for
-        # never, which no cycle t reads as t - 1.
+        # Cycle stamps: the last cycle the charge exceeded the threshold and
+        # the last cycle the synapse delivered; -2 for never, which no cycle t
+        # reads as t - 1. STDP depression tests the stamps of the synapses into
+        # a neuron, so the neuron needs no stamp for "got a delivery".
         self.last_exceed = [-2] * n
-        self.got_delivery = [-2] * n
         self.syn_last_delivery = [-2] * n_syn
 
         self.cycle = 0
@@ -60,7 +60,7 @@ class PyEngine:
         abs_ref, rel_ref, leak = lay.abs_refractory, lay.rel_refractory, lay.leak
         acc, phase, phase_left = self.acc, self.phase, self.phase_left
         last_exceed, ring, slots, delay = self.last_exceed, self.ring, lay.ring_slots, lay.syn_delay
-        weight, last_delivery, got = self.weight, self.syn_last_delivery, self.got_delivery
+        weight, last_delivery = self.weight, self.syn_last_delivery
 
         # FIRE, then LEAK, suspended during absolute refractory
         fired: list[int] = []
@@ -92,7 +92,6 @@ class PyEngine:
         for j in now:
             last_delivery[j] = t
             post = syn_post[j]
-            got[post] = t
             if log is not None:
                 log.append((t - delay[j], t, j))
             if phase[post] != PHASE_ABSOLUTE:
@@ -129,8 +128,7 @@ class PyEngine:
                             w = weight[j] + table[half - (t - last)]
                             weight[j] = wlo if w < wlo else (whi if w > whi else w)
                 last_exceed[i] = t
-            elif (stdp and got[i] == t and last_exceed[i] >= 0
-                    and half + (t - last_exceed[i]) < tsize):
+            elif stdp and last_exceed[i] >= 0 and half + (t - last_exceed[i]) < tsize:
                 delta = table[half + (t - last_exceed[i])]
                 for j in pre_synapses[i]:
                     if last_delivery[j] == t:

@@ -109,14 +109,15 @@ def test_int64s_packs_columns_end_to_end():
 
 
 # Runs in a child process over a kernel library built elsewhere (argv[1]):
-# every golden, a 256-neuron STDP network and a 64-neuron network with every
-# feature, compiled against python. Exit 77 when the library cannot be
-# loaded here.
+# every golden, a 256-neuron STDP network, a 64-neuron network with every
+# feature, neurons with no synapses, no stimulus and an empty STDP table
+# (zero-size ranges in the kernel's state block) and the empty network,
+# compiled against python. Exit 77 when the library cannot be loaded here.
 SANITIZED_RUN = """
 import sys
 from fuzz import build_setup, mixed_setup
-from ravensim import goldens, new_engine
-from ravensim.engine import compiled
+from ravensim import HardwareConstants, Network, NeuronSettings, goldens, new_engine
+from ravensim.engine import Stimulus, compiled
 
 try:
     lib = compiled._bind(sys.argv[1])
@@ -127,6 +128,13 @@ setups = [(case.name, case.network, case.hardware, case.stimulus, case.cycles)
           for case in goldens.discover_cases()]
 setups.append(("stdp_256", *build_setup(256, 8, 4, stdp=True, seed=7), 300))
 setups.append(("mixed_64", *mixed_setup(64, 8, True, 200, seed=3), 200))
+hw = HardwareConstants(accumulator_width=8, threshold_width=4, weight_width=4, max_delay=2,
+                       max_leak=2, max_abs_refractory=2, max_rel_refractory=2, ports=2,
+                       injection_ports=0)
+lonely = (NeuronSettings("A", threshold=1, standard_resting=3, leak=1),
+          NeuronSettings("B", threshold=2, abs_refractory=1))
+setups.append(("no_synapses", Network(lonely, ()), hw, Stimulus(), 20))
+setups.append(("empty", Network((), ()), hw, Stimulus(), 20))
 for name, net, hw, stim, cycles in setups:
     py = new_engine(net, hw, stim, backend="python")
     ck = new_engine(net, hw, stim, backend="compiled")
@@ -140,29 +148,49 @@ print(len(setups), "setups")
 """
 
 
-@needs_kernel
-def test_kernel_has_no_undefined_behaviour(tmp_path, golden_cases):
-    # A sanitized build aborts on the first signed overflow, shift out of
-    # range, misaligned or null access, and so on that a run reaches.
-    library = tmp_path / "kernel-ubsan.so"
-    flags = ["-O1", "-std=c99", "-shared", "-fPIC", "-fsanitize=undefined",
+def sanitized_run(tmp_path, golden_cases, sanitizer: str, env: dict[str, str]):
+    """SANITIZED_RUN in a child over kernel.c built with -fsanitize=sanitizer,
+    which aborts on the first fault it detects; skips where that cannot run."""
+    library = tmp_path / f"kernel-{sanitizer}.so"
+    flags = ["-O1", "-g", "-std=c99", "-shared", "-fPIC", f"-fsanitize={sanitizer}",
              "-fno-sanitize-recover=all"]
     build = subprocess.run(["cc", *flags, "-o", str(library), str(compiled._SOURCE)],
                            capture_output=True, text=True)
     if build.returncode != 0:
-        pytest.skip(f"no undefined-behaviour sanitizer here: {build.stderr.strip()[-200:]}")
+        pytest.skip(f"no {sanitizer} sanitizer here: {build.stderr.strip()[-200:]}")
     src = Path(ravensim.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), str(Path(__file__).parent),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(library)],
                           capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path,
-                               "UBSAN_OPTIONS": "print_stacktrace=1"})
+                          env={**os.environ, "PYTHONPATH": path, **env})
     if proc.returncode == 77:
         pytest.skip("the sanitizer runtime cannot be loaded here")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{len(golden_cases) + 2} setups\n"
+    assert proc.stdout == f"{len(golden_cases) + 4} setups\n"
+    return proc
+
+
+@needs_kernel
+def test_kernel_has_no_undefined_behaviour(tmp_path, golden_cases):
+    # Signed overflow, shifts out of range, misaligned or null accesses, ...
+    proc = sanitized_run(tmp_path, golden_cases, "undefined",
+                         {"UBSAN_OPTIONS": "print_stacktrace=1"})
     assert "runtime error" not in proc.stderr
+
+
+@needs_kernel
+def test_kernel_makes_no_bad_memory_access(tmp_path, golden_cases):
+    # Heap overruns and uses after free, which UBSan does not see: the state
+    # block's ranges, the ring growth and the fired log's copy. The runtime
+    # must be loaded before the python executable's own libraries; the
+    # interpreter's allocations are never freed, so leaks are not reported.
+    runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                             text=True).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.isfile(runtime):
+        pytest.skip("no AddressSanitizer runtime to preload here")
+    sanitized_run(tmp_path, golden_cases, "address",
+                  {"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"})
 
 
 def test_kernel_build_fails_soft(monkeypatch, tmp_path):

@@ -15,7 +15,8 @@ import ravensim
 from ravensim.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from ravensim.engine import BACKENDS, Engine
 from ravensim.engine.compiled import available as kernel_available
-from ravensim.ioformats import parse_trace_jsonl
+from ravensim.ioformats import parse_trace_jsonl, save_hardware, save_network
+from ravensim.netmodel import HardwareConstants, Network, NeuronSettings, SynapseSettings
 
 SRC = str(Path(ravensim.__file__).resolve().parent.parent)
 
@@ -152,6 +153,37 @@ def test_impossible_cycle_count_fails_at_once(backend, cycles, case_paths):
     proc = cli_process(argv, preexec_fn=cap_address_space, timeout=60)
     assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
     assert proc.stderr == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("backend", ["default", "compiled", "reference"])
+def test_kernel_state_too_large_fails_at_once(backend, tmp_path):
+    # One synapse of delay 10**8 needs a delivery ring of 10**8 + 1 slots,
+    # which rk_new cannot allocate under the cap; the reference oracle keeps
+    # no ring and runs.
+    if backend != "reference":
+        skip_compiled_without_cc("compiled")
+        assert kernel_available()  # built here, outside the cap
+    hw = HardwareConstants(accumulator_width=8, threshold_width=4, weight_width=4,
+                           max_delay=10**8, max_leak=0, max_abs_refractory=0,
+                           max_rel_refractory=0, ports=2, injection_ports=0)
+    net = Network((NeuronSettings("A", threshold=1), NeuronSettings("B", threshold=1)),
+                  (SynapseSettings("A", "B", weight=1, delay=10**8),))
+    paths = {"hw": tmp_path / "hw.json", "net": tmp_path / "net.json",
+             "stim": tmp_path / "stim.txt"}
+    paths["hw"].write_text(save_hardware(hw))
+    paths["net"].write_text(save_network(net))
+    paths["stim"].write_text("AS 0 A\n")
+    argv = ["run", "--cycles", "10", "--format", "jsonl"]
+    argv += [] if backend == "default" else ["--backend", backend]
+    for option, path in paths.items():
+        argv += [f"--{option}", str(path)]
+    proc = cli_process(argv, preexec_fn=cap_address_space, timeout=60)
+    if backend == "reference":
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert len(proc.stdout.splitlines()) == 10
+    else:
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr == "error: cannot allocate the kernel state\n"
 
 
 def test_run_table_header(case_paths, capsys):

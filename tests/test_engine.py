@@ -318,6 +318,20 @@ def test_run_after_advance_numbers_cycles_from_engine_cycle(backend):
 
 
 @pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_a_filled_trace_refuses_another_cycle(backend):
+    # The compiled core writes the blocks in place and the others add cycle
+    # by cycle; either way the trace of a run is full, and adding to it
+    # changes no column.
+    engine, _ = twin_engines(backend)
+    trace = engine.run(12)
+    columns = (trace.fired[:], trace.counts[:], trace.charges[:])
+    assert trace.fired
+    with pytest.raises(IndexError, match="every cycle of the trace is filled"):
+        trace.add([0], [5] * len(trace.names))
+    assert (trace.fired, trace.counts, trace.charges) == columns
+
+
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
 def test_trace_keeps_indexed_reports_and_no_iterated_ones(backend):
     engine, twin = twin_engines(backend)
     trace, untouched = engine.run(6), twin.run(6)
