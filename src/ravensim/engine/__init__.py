@@ -4,11 +4,11 @@ new_engine validates the network and the stimulus, then builds one Engine
 class around the cycle core its backend= argument names (one of BACKENDS).
 A stimulus that load_stimulus read for the very same network and hardware
 objects has been checked already and is not checked again.
-"auto" picks the compiled kernel when it can be built here, every value it
-would hold fits its 64-bit arithmetic and no delivery log is asked for,
-otherwise the pure-Python core; "reference" is the naive differential-testing
-oracle. The cores implement identical cycle semantics; the test suite holds
-them equal on every fixture and on randomized networks.
+"auto" picks the compiled kernel when it can be built here and no delivery
+log is asked for, otherwise the pure-Python core; "reference" is the naive
+differential-testing oracle. Every backend computes in int64 and accepts the
+same inputs. The cores implement identical cycle semantics; the test suite
+holds them equal on every fixture and on randomized networks.
 
 A core mirrors the kernel.c ABI rk_run(k, n, counts, charges): run(n, trace)
 runs n cycles and fills their cycles of trace, the one Trace that Engine.run
@@ -22,9 +22,7 @@ code.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from ..netmodel import HardwareConstants, Network, ValidationError, validate_network
+from ..netmodel import INT64_MAX, HardwareConstants, Network, ValidationError, validate_network
 from . import compiled
 from .events import (
     INJECTION,
@@ -37,7 +35,7 @@ from .events import (
     StimulusEvent,
     Trace,
 )
-from .layout import Layout, build_layout, check_stimulus, is_checked
+from .layout import build_layout, check_stimulus, is_checked
 from .pycore import PyEngine
 
 __all__ = [
@@ -58,8 +56,6 @@ __all__ = [
 ]
 
 BACKENDS = ("auto", "python", "compiled", "reference")
-
-_INT64_MAX = (1 << 63) - 1
 
 
 def _check_count(n_cycles: int) -> None:
@@ -96,7 +92,7 @@ class Engine:
         """Run n_cycles without recording them. A count the kernel's int64_t
         cannot hold is refused on every backend, before any cycle runs."""
         _check_count(n_cycles)
-        if n_cycles > _INT64_MAX:
+        if n_cycles > INT64_MAX:
             raise ValueError("cycle count must be <= 2**63 - 1")
         self._core.run(n_cycles, None)
         self.cycle += n_cycles
@@ -119,28 +115,6 @@ def available_backends() -> list[str]:
     return names
 
 
-def _kernel_fits(hw: HardwareConstants, layout: Layout) -> bool:
-    """Whether every value the kernel stores stays inside int64_t.
-
-    A charge is at most a resting value plus one cycle of synaptic input
-    plus E stimulus events, E being the most events on one neuron in one
-    cycle, each term bounded by 2**(widest - 1); so (2 + E) * 2**(widest - 1)
-    must fit. Durations, delays and STDP entries leave room for one addition.
-    """
-    widest = max(hw.accumulator_width, hw.threshold_width, hw.weight_width)
-    room = (_INT64_MAX >> (widest - 1)) - 2  # the largest E that fits
-    if room < 0 or (layout.ev_cycle and layout.ev_cycle[-1] > _INT64_MAX):
-        return False
-    # E can exceed room only when there are more events than room in total.
-    if len(layout.ev_cycle) > room:
-        hits = Counter(zip(layout.ev_cycle, layout.ev_neuron))
-        if max(hits.values()) > room:
-            return False
-    limits = (layout.ring_slots, hw.max_leak, hw.max_abs_refractory, hw.max_rel_refractory,
-              *map(abs, hw.stdp_table))
-    return max(limits) < 1 << 62
-
-
 def new_engine(net: Network, hw: HardwareConstants, stim: Stimulus | None = None,
                backend: str = "auto", record_deliveries: bool = False) -> Engine:
     """Validate and build a simulator over net/hw driven by stim."""
@@ -161,16 +135,12 @@ def new_engine(net: Network, hw: HardwareConstants, stim: Stimulus | None = None
 
     layout = build_layout(net, hw, stim)
     if backend == "auto":
-        fits = not record_deliveries and compiled.available() and _kernel_fits(hw, layout)
-        backend = "compiled" if fits else "python"
+        backend = "compiled" if not record_deliveries and compiled.available() else "python"
     if backend == "python":
         log = [] if record_deliveries else None
         return Engine(backend, layout.names, PyEngine(layout, log), log)
     if not compiled.available():
         raise ValueError("compiled backend requested but the kernel cannot be built")
-    if not _kernel_fits(hw, layout):
-        raise ValueError("compiled backend cannot hold the configured bit widths "
-                         "and stimulus in 64-bit integers")
     return Engine(backend, layout.names, compiled.CompiledEngine(layout))
 
 

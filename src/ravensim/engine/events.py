@@ -97,9 +97,8 @@ class Trace(Sequence[CycleReport]):
     names holds the neuron names once. Cycle i of the trace has the number
     cycles[i] and counts[i] fired neurons, whose indices follow those of the
     cycles before it in fired, and the charges of every neuron, in names
-    order, at charges[i * n:(i + 1) * n] for n names. fired and counts are
-    array('q') blocks; charges is one too, unless a charge does not fit in
-    64 bits.
+    order, at charges[i * n:(i + 1) * n] for n names. fired, counts and
+    charges are array('q') blocks: every backend computes in int64.
 
     Trace(names, cycles) allocates the count and charge blocks of every
     cycle at once, so a trace no memory can hold raises MemoryError before
@@ -122,7 +121,7 @@ class Trace(Sequence[CycleReport]):
         self.cycles = cycles
         try:  # len() of a range beyond sys.maxsize raises OverflowError too
             self.counts = _ZERO * len(cycles)
-            self.charges: array | list[int] = _ZERO * (len(cycles) * len(self.names))
+            self.charges = _ZERO * (len(cycles) * len(self.names))
         except OverflowError:
             raise MemoryError from None
         self.fired = array("q")
@@ -132,21 +131,15 @@ class Trace(Sequence[CycleReport]):
 
     def add(self, fired: Sequence[int], charges: Sequence[int]) -> None:
         """Fills the next cycle: the indices that fired and every charge, in
-        names order. A charge beyond 64 bits turns the charge block into a list.
-        IndexError, with every column as it was, when every cycle is filled."""
+        names order. IndexError when every cycle is filled, and OverflowError
+        for a charge beyond int64, with every column as it was."""
         c, n = self._added, len(self.names)
         if c == len(self.counts):
             raise IndexError("every cycle of the trace is filled")
+        self.charges[c * n:(c + 1) * n] = array("q", charges)
         self._added = c + 1
         self.fired.extend(fired)
         self.counts[c] = len(fired)
-        if isinstance(self.charges, array):
-            try:
-                self.charges[c * n:(c + 1) * n] = array("q", charges)
-                return
-            except OverflowError:
-                self.charges = self.charges.tolist()
-        self.charges[c * n:(c + 1) * n] = charges
 
     @classmethod
     def of(cls, reports: Sequence[CycleReport]) -> Trace:

@@ -34,9 +34,9 @@
    which no other step of the pass reads. So fusing the steps per neuron
    gives the same result as running each over all neurons in turn. SETTLE
    changes a charge only after its own threshold test, so the report
-   copied before the pass holds the compared values. The backends agree
-   cycle for cycle on every network whose values fit in 64 bits; the
-   caller checks that before choosing this kernel.
+   copied before the pass holds the compared values. Every backend computes
+   in int64_t, and the hardware and stimulus rules (netmodel.MAX_WIDTH,
+   layout.stimulus_problem) keep every sum the kernel forms inside it.
 
    "This cycle" needs no flags that must be cleared again: a synapse
    delivered in cycle t exactly when its last delivery stamp equals t, and

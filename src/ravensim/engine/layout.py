@@ -9,11 +9,12 @@ included.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
-from ..netmodel import HardwareConstants, Network, delivery_slots, signed_range
+from ..netmodel import INT64_MAX, HardwareConstants, Network, delivery_slots, signed_range
 from .events import INJECTION, Events, Stimulus
 
 
@@ -55,10 +56,20 @@ def stimulus_problem(events: Events, net: Network,
     rule it breaks, or None when every event keeps every rule.
 
     The rules are checked on whole columns; the events are walked only to
-    find the first one that breaks a rule."""
+    find the first one that breaks a rule. A charge is at most a resting
+    value, a cycle of synaptic input and E events on one neuron in one cycle,
+    each below 2**(W - 1) for the widest width W: E <= room keeps it in int64.
+    Events are counted only when there are more than room of them."""
+    cycles = events.cycle
+    room = (INT64_MAX >> (max(hw.accumulator_width, hw.threshold_width, hw.weight_width) - 1)) - 2
+    crowded: set[tuple[int, str]] = set()
+    if len(cycles) > room:
+        hits = Counter(zip(cycles, events.neuron))
+        crowded = {key for key, count in hits.items() if count > room}
     injection = dict(zip(net.neurons.name, net.neurons.injection))
     lo, hi = signed_range(hw.injection_ports) if hw.injection_ports > 0 else (0, 0)
-    if injection.keys() >= set(events.neuron):
+    if (not crowded and max(cycles, default=0) <= INT64_MAX
+            and injection.keys() >= set(events.neuron)):
         if INJECTION not in events.kind:
             return None
         injected = [(neuron, value) for neuron, kind, value
@@ -67,7 +78,8 @@ def stimulus_problem(events: Events, net: Network,
         if (hw.injection_ports > 0 and all(injection[neuron] for neuron, _ in injected)
                 and lo <= min(values) and max(values) <= hi):
             return None
-    for i, (neuron, kind, value) in enumerate(zip(events.neuron, events.kind, events.value)):
+    seen: Counter[tuple[int, str]] = Counter()
+    for i, (cycle, neuron, kind, value) in enumerate(zip(*events.columns())):
         enabled = injection.get(neuron)
         if enabled is None:
             return i, f'unknown neuron "{neuron}"'
@@ -78,6 +90,12 @@ def stimulus_problem(events: Events, net: Network,
                 return i, "hardware has no injection ports"
             if not lo <= value <= hi:
                 return i, f"injection value {value} outside [{lo}, {hi}]"
+        if cycle > INT64_MAX:
+            return i, f"cycle {cycle} above 2**63 - 1"
+        if (cycle, neuron) in crowded:
+            seen[cycle, neuron] += 1
+            if seen[cycle, neuron] > room:
+                return i, f'more than {room} events on neuron "{neuron}" in cycle {cycle}'
     return None
 
 

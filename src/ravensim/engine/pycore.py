@@ -9,6 +9,8 @@ argues that these two passes run them exactly.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .events import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD, Trace
 from .layout import Layout
 
@@ -24,7 +26,8 @@ class PyEngine:
         self.weight = list(layout.syn_weight)
         self.weight_lo = -(1 << (layout.weight_width - 1))
         self.weight_hi = (1 << (layout.weight_width - 1)) - 1
-        self.ring: list[list[int]] = [[] for _ in range(layout.ring_slots)]
+        # The synapses due to deliver, by due cycle: no delay sizes anything.
+        self.due: defaultdict[int, list[int]] = defaultdict(list)
         # Adjacency in declaration order: the synapses leaving and entering
         # each neuron (the kernel builds the same lists as CSR blocks).
         self.out_synapses: list[list[int]] = [[] for _ in range(n)]
@@ -59,7 +62,7 @@ class PyEngine:
         std_rest, ref_rest = lay.standard_resting, lay.refractory_resting
         abs_ref, rel_ref, leak = lay.abs_refractory, lay.rel_refractory, lay.leak
         acc, phase, phase_left = self.acc, self.phase, self.phase_left
-        last_exceed, ring, slots, delay = self.last_exceed, self.ring, lay.ring_slots, lay.syn_delay
+        last_exceed, due, delay = self.last_exceed, self.due, lay.syn_delay
         weight, last_delivery = self.weight, self.syn_last_delivery
 
         # FIRE, then LEAK, suspended during absolute refractory
@@ -68,7 +71,7 @@ class PyEngine:
             if last_exceed[i] == t - 1:
                 fired.append(i)
                 for j in self.out_synapses[i]:
-                    ring[(t + delay[j]) % slots].append(j)
+                    due[t + delay[j]].append(j)
                 acc[i] = ref_rest[i] if rel_ref[i] > 0 else std_rest[i]
                 if abs_ref[i] > 0:
                     phase[i] = PHASE_ABSOLUTE
@@ -87,16 +90,14 @@ class PyEngine:
                 acc[i] = value if value > floor else floor
 
         # DELIVER
-        now = ring[t % slots]
         syn_post, log = lay.syn_post, self.delivery_log
-        for j in now:
+        for j in due.pop(t, ()):
             last_delivery[j] = t
             post = syn_post[j]
             if log is not None:
                 log.append((t - delay[j], t, j))
             if phase[post] != PHASE_ABSOLUTE:
                 acc[post] += weight[j]
-        now.clear()
         ev_cycle, ev = lay.ev_cycle, self.ev_cursor
         while ev < len(ev_cycle) and ev_cycle[ev] == t:
             i = lay.ev_neuron[ev]

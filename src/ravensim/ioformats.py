@@ -25,6 +25,7 @@ from typing import Any
 from .engine.events import INJECTION, INPUT_SPIKE, CycleReport, Events, Stimulus, Trace
 from .engine.layout import mark_checked, stimulus_problem
 from .netmodel import (
+    INT64_MAX,
     HardwareConstants,
     Network,
     Neurons,
@@ -433,6 +434,8 @@ def parse_trace_jsonl(text: str) -> Trace:
         for name, value in charges.items():
             if type(value) is not int:
                 raise FormatError(f"{where}: charge for \"{name}\" must be an integer")
+            if not -INT64_MAX - 1 <= value <= INT64_MAX:
+                raise FormatError(f"{where}: charge for \"{name}\" outside int64")
         if reports and charges.keys() != reports[0].charges.keys():
             raise FormatError(f"{where}: charges must name the neurons of the first line "
                               "and no others")

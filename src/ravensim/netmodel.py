@@ -19,6 +19,12 @@ from dataclasses import dataclass
 from .columns import Columns
 
 
+# Every backend computes in int64. Widths of at most MAX_WIDTH bits, and durations,
+# delays and STDP entries below 2**MAX_WIDTH, leave room for the sums of a cycle.
+INT64_MAX = (1 << 63) - 1
+MAX_WIDTH = 62
+
+
 def signed_range(bits: int) -> tuple[int, int]:
     """Inclusive (lo, hi) range of a two's-complement value of `bits` bits."""
     if bits < 1:
@@ -72,9 +78,13 @@ class HardwareConstants:
         for name in ("accumulator_width", "threshold_width", "weight_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+            if getattr(self, name) > MAX_WIDTH:
+                raise ValueError(f"{name} must be <= {MAX_WIDTH}")
         for name in ("max_delay", "max_leak", "max_abs_refractory", "max_rel_refractory"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+            if getattr(self, name) >= 1 << MAX_WIDTH:
+                raise ValueError(f"{name} must be < 2**{MAX_WIDTH}")
         if self.ports < 1:
             raise ValueError("ports must be >= 1")
         if not 0 <= self.injection_ports <= self.ports:
@@ -82,6 +92,9 @@ class HardwareConstants:
         for v in self.stdp_table:
             if not isinstance(v, int):
                 raise ValueError("stdp_table entries must be integers")
+            if abs(v) >= 1 << MAX_WIDTH:
+                raise ValueError("stdp_table entries must lie in "
+                                 f"(-2**{MAX_WIDTH}, 2**{MAX_WIDTH})")
 
 
 @dataclass(frozen=True)

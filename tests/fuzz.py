@@ -1,8 +1,7 @@
 """Seeded random network/stimulus generators shared by the differential tests.
 
 Every draw stays inside the hardware limits by construction, so generated
-setups always validate. Widths are kept small enough that the compiled
-kernel is eligible too. random_setup draws tiny networks of every shape;
+setups always validate. random_setup draws tiny networks of every shape;
 build_setup draws self-sustaining networks at the sizes the benchmark uses,
 and mixed_setup networks at those sizes with every feature mixed in.
 malformed_documents writes random setups out as text and then breaks them,

@@ -106,17 +106,19 @@ def cli_process(argv, **kwargs):
                           text=True, env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
-def test_backend_errors_exit_without_traceback(tmp_path, case_paths):
-    reference = cli_process(run_argv(case_paths) + ["--backend", "reference"])
-    assert reference.returncode == EXIT_OK
-    # A stimulus cycle beyond int64_t: the kernel cannot hold it, and without
-    # cc it cannot be built; either way a one-line error.
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backend_errors_exit_without_traceback(backend, tmp_path, case_paths):
+    skip_compiled_without_cc(backend)
+    ok = cli_process(run_argv(case_paths) + ["--backend", backend])
+    assert (ok.returncode, ok.stderr) == (EXIT_OK, "")
+    # A stimulus cycle beyond int64, which no backend computes in: a one-line
+    # error on every backend.
     stim = tmp_path / "stimulus.txt"
     stim.write_text("AS 99999999999999999999 Main\n")
-    compiled = cli_process(run_argv(case_paths, str(stim)) + ["--backend", "compiled"])
-    assert compiled.returncode == EXIT_USAGE
-    assert compiled.stderr.startswith("error: compiled backend")
-    assert "Traceback" not in reference.stderr + compiled.stderr
+    refused = cli_process(run_argv(case_paths, str(stim)) + ["--backend", backend])
+    assert (refused.returncode, refused.stdout) == (EXIT_USAGE, "")
+    assert refused.stderr == ("error: stimulus line 1: cycle 99999999999999999999 "
+                              "above 2**63 - 1\n")
 
 
 @pytest.mark.parametrize("message", ["", "cannot grow the delivery ring"])
@@ -155,12 +157,12 @@ def test_impossible_cycle_count_fails_at_once(backend, cycles, case_paths):
     assert proc.stderr == "error: out of memory\n"
 
 
-@pytest.mark.parametrize("backend", ["default", "compiled", "reference"])
+@pytest.mark.parametrize("backend", ["default", "compiled", "python", "reference"])
 def test_kernel_state_too_large_fails_at_once(backend, tmp_path):
     # One synapse of delay 10**8 needs a delivery ring of 10**8 + 1 slots,
-    # which rk_new cannot allocate under the cap; the reference oracle keeps
-    # no ring and runs.
-    if backend != "reference":
+    # which rk_new cannot allocate under the cap; the python core and the
+    # reference oracle keep no ring and run.
+    if backend in ("default", "compiled"):
         skip_compiled_without_cc("compiled")
         assert kernel_available()  # built here, outside the cap
     hw = HardwareConstants(accumulator_width=8, threshold_width=4, weight_width=4,
@@ -178,7 +180,7 @@ def test_kernel_state_too_large_fails_at_once(backend, tmp_path):
     for option, path in paths.items():
         argv += [f"--{option}", str(path)]
     proc = cli_process(argv, preexec_fn=cap_address_space, timeout=60)
-    if backend == "reference":
+    if backend in ("python", "reference"):
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert len(proc.stdout.splitlines()) == 10
     else:

@@ -419,10 +419,12 @@ def test_jsonl_on_empty_quiet_and_wide_traces():
     assert format_trace(odd_trace(0), "jsonl") == format_trace(odd_trace(0)) == ""
     quiet = [CycleReport(t, (), {"A": 0, "B": -7}) for t in range(3)]
     assert format_trace(quiet, "jsonl") == reference_jsonl(quiet)
-    # Charges beyond 64 bits.
-    wide = [CycleReport(123456, ("B",), {"A": 1 << 70, "B": -(1 << 70)}),
+    # Charges at the int64 extremes; one beyond them cannot enter a trace.
+    wide = [CycleReport(123456, ("B",), {"A": (1 << 63) - 1, "B": -(1 << 63)}),
             CycleReport(123457, ("A", "B"), {"A": -1, "B": 5})]
     assert format_trace(wide, "jsonl") == reference_jsonl(wide)
+    with pytest.raises(OverflowError):
+        format_trace([CycleReport(0, (), {"A": 1 << 63})], "jsonl")
     no_neurons = [CycleReport(0, (), {}), CycleReport(1, (), {})]
     assert format_trace(no_neurons, "jsonl") == reference_jsonl(no_neurons)
 
@@ -455,9 +457,9 @@ def test_columnar_table_matches_the_row_by_row_table():
         odd_trace(0),
         new_engine(net, hw, stim).run(100),
         TRACE,
-        # No neurons; charges beyond 64 bits; cycle numbers of every width.
+        # No neurons; charges at the int64 extremes; cycle numbers of every width.
         [CycleReport(0, (), {}), CycleReport(1, (), {})],
-        [CycleReport(123456, ("B",), {"A": 1 << 70, "B": -(1 << 70)}),
+        [CycleReport(123456, ("B",), {"A": (1 << 63) - 1, "B": -(1 << 63)}),
          CycleReport(-7, ("A", "B"), {"A": -1, "B": 5})],
         [CycleReport(t, (), {"long name": -t * 1000, "x": t}) for t in range(12)],
     ]
@@ -511,6 +513,16 @@ def test_parse_trace_jsonl_rejects_malformed_lines():
         parse_trace_jsonl(first + '{"cycle": 1, "fired": ["A", "C"], "charges": {"A": 0, "B": 1}}')
     with pytest.raises(FormatError, match="^trace line 1: fired neuron 'A' has no charge$"):
         parse_trace_jsonl('{"cycle": 0, "fired": ["A"], "charges": {}}')
+
+
+def test_parse_trace_jsonl_keeps_charges_inside_int64():
+    line = '{"cycle": %d, "fired": [], "charges": {"A": %d, "B": %d}}'
+    top = (1 << 63) - 1
+    trace = parse_trace_jsonl(line % (0, top, -top - 1))
+    assert list(trace.charges) == [top, -top - 1]
+    for a, b, name in ((top + 1, 0, "A"), (0, -top - 2, "B")):
+        with pytest.raises(FormatError, match=f'^trace line 2: charge for "{name}" outside int64$'):
+            parse_trace_jsonl(line % (0, 0, 0) + "\n" + line % (1, a, b))
 
 
 def _repeat_key(text: str, pair: str, repeated: str) -> str:

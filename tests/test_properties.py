@@ -15,7 +15,7 @@ import pytest
 
 from fuzz import FUZZ_CYCLES, mixed_setup, random_setup
 from ravensim import new_engine
-from ravensim.engine import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD
+from ravensim.engine import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD, Stimulus
 from ravensim.ioformats import format_trace
 
 TRIALS = 60
@@ -182,3 +182,46 @@ def test_permuting_declarations_permutes_the_outputs(backend, n_neurons, seed, s
         trace.names, trace.cycles, trace.fired, trace.counts, trace.charges)
     assert by_synapse.weights() == [engine.weights()[j] for j in links]
     assert (engine.weights() != list(net.synapses.weight)) == stdp
+
+
+def prefixed(net, stim, prefix: str):
+    """net and stim with every neuron name prefixed."""
+    neurons = [replace(m, name=prefix + m.name) for m in net.neurons]
+    synapses = [replace(s, pre=prefix + s.pre, post=prefix + s.post) for s in net.synapses]
+    events = [replace(ev, neuron=prefix + ev.neuron) for ev in stim.events]
+    return replace(net, neurons=neurons, synapses=synapses), Stimulus(events)
+
+
+# Two networks side by side, with no synapse between them, run as they run
+# apart: the union's trace is the column-wise union of theirs.
+@pytest.mark.parametrize("stdp", [False, True], ids=["stdp_off", "stdp_on"])
+@pytest.mark.parametrize("backend", ["python", "compiled", "reference"])
+def test_a_disjoint_union_runs_its_parts_side_by_side(backend, stdp):
+    if backend == "compiled" and shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc)")
+    (net_a, hw_a, stim_a), (net_b, hw_b, stim_b) = (
+        mixed_setup(n, 8, stdp, 60, seed) for n, seed in ((32, 21), (24, 22)))
+    # mixed_setup hardware differs only in its ports, and the accumulator
+    # width they need: the one with more ports takes both networks.
+    hw = max(hw_a, hw_b, key=lambda h: h.ports)
+    net_a, stim_a = prefixed(net_a, stim_a, "a.")
+    net_b, stim_b = prefixed(net_b, stim_b, "b.")
+    union = replace(net_a, neurons=[*net_a.neurons, *net_b.neurons],
+                    synapses=[*net_a.synapses, *net_b.synapses])
+    parts = [new_engine(net, hw, stim, backend=backend)
+             for net, stim in ((net_a, stim_a), (net_b, stim_b))]
+    whole = new_engine(union, hw, Stimulus([*stim_a.events, *stim_b.events]), backend=backend)
+    (trace_a, trace_b), trace = [part.run(60) for part in parts], whole.run(60)
+    assert sum(trace_a.counts) > 0 and sum(trace_b.counts) > 0
+
+    n_a = len(net_a.neurons)
+    assert trace.names == trace_a.names + trace_b.names
+    for (cycle, fired, charges), (cycle_a, fired_a, charges_a), (cycle_b, fired_b, charges_b) in (
+            zip(trace.rows(), trace_a.rows(), trace_b.rows())):
+        assert cycle == cycle_a == cycle_b
+        assert list(fired) == [*fired_a, *(n_a + i for i in fired_b)]
+        assert list(charges) == [*charges_a, *charges_b]
+    assert whole.charges() == {**parts[0].charges(), **parts[1].charges()}
+    assert whole.weights() == parts[0].weights() + parts[1].weights()
+    assert whole.phases() == parts[0].phases() + parts[1].phases()
+    assert (whole.weights() != list(union.synapses.weight)) == stdp
