@@ -131,11 +131,17 @@ class Trace(Sequence[CycleReport]):
 
     def add(self, fired: Sequence[int], charges: Sequence[int]) -> None:
         """Fills the next cycle: the indices that fired and every charge, in
-        names order. IndexError when every cycle is filled, and OverflowError
-        for a charge beyond int64, with every column as it was."""
+        names order. IndexError when every cycle is filled, ValueError for a
+        charge row that is not one charge per name or a fired index outside
+        range(len(names)), and OverflowError for a charge beyond int64, each
+        with every column as it was."""
         c, n = self._added, len(self.names)
         if c == len(self.counts):
             raise IndexError("every cycle of the trace is filled")
+        if len(charges) != n:
+            raise ValueError(f"{len(charges)} charges for {n} neurons")
+        if fired and not (min(fired) >= 0 and max(fired) < n):
+            raise ValueError(f"fired indices must lie in range({n})")
         self.charges[c * n:(c + 1) * n] = array("q", charges)
         self._added = c + 1
         self.fired.extend(fired)

@@ -17,7 +17,8 @@
    Each cycle runs the four phases of the cycle specification (fire, leak,
    deliver, settle; README "Cycle model", written out phase by phase in
    reference.py) in two passes over the neurons with the deliveries
-   between them. pycore.py runs the same steps in the same order:
+   between them, and a third for STDP when it is on. pycore.py runs the
+   same steps in the same order, with STDP inside its SETTLE pass:
 
      1. FIRE then LEAK for each neuron. A firing neuron pushes its outgoing
         synapses into the delivery ring, zero-delay ones into the slot
@@ -26,15 +27,20 @@
         then this cycle's stimulus events.
      3. The report: a copy of the charges, which are now the values SETTLE
         compares against the thresholds.
-     4. SETTLE for each neuron: threshold test and STDP, then the resting
-        floor and the refractory bookkeeping.
+     4. SETTLE for each neuron: threshold test, then the resting floor and
+        the refractory bookkeeping.
+     5. STDP for each neuron that exceeded in this cycle or whose last
+        exceed the table still reaches forward from.
 
    Within a neuron pass, the steps of neuron i touch only the state of
    neuron i and of the synapses into it, besides the ring pushes of FIRE,
    which no other step of the pass reads. So fusing the steps per neuron
-   gives the same result as running each over all neurons in turn. SETTLE
-   changes a charge only after its own threshold test, so the report
-   copied before the pass holds the compared values. Every backend computes
+   gives the same result as running each over all neurons in turn, and
+   splitting STDP off SETTLE does too: STDP changes only weights, which
+   SETTLE does not read, and reads the exceed stamp, which SETTLE sets to t
+   exactly where the threshold test holds. SETTLE changes a charge only
+   after its own threshold test, so the report copied before the pass
+   holds the compared values. Every backend computes
    in int64_t, and the hardware and stimulus rules (netmodel.MAX_WIDTH,
    layout.stimulus_problem) keep every sum the kernel forms inside it.
 
@@ -43,6 +49,24 @@
    a neuron fires in cycle t when its exceed stamp is t - 1 (NEVER is
    below -1). A neuron needs no stamp of its own for "got a delivery":
    STDP depression tests the stamp of each synapse into it.
+
+   The STDP loops take no branch that depends on the data. Whether a
+   table entry applies to a synapse depends on its delivery stamp, which
+   varies from synapse to synapse, so such a branch mispredicts often;
+   on the dense benchmark network (about 13.6k potentiation and 640
+   depression visits a cycle) those branches were most of SETTLE's time.
+   Each visit adds the entry, masked to 0 where none applies, and always
+   stores the clamped weight, which after adding 0 is the weight itself:
+   validate_network keeps every weight between the rails. Potentiation
+   reads a never-delivered synapse's stamp as t - half - 1, one cycle
+   beyond the table's reach, so its gap fails the same test as a stamp
+   too old. The gap against NEVER itself, t + 2, overflows once
+   t >= 2**63 - 2. The loops need most of the registers, so they run in a
+   pass of their own: inside SETTLE's loop they made gcc 12 keep that
+   loop's index and bound on the stack, about 1 us a cycle on a
+   1024-neuron network with STDP off. FIRE logs the fired indices with no
+   capacity test, into room for n values that rk_step reserves before the
+   pass.
 
    The delivery ring keeps one growable slot per (cycle mod slots), for
    the longest delay in use + 1 slots; hw.max_delay sizes nothing. A
@@ -150,12 +174,14 @@ void rk_free(rk *k)
    leak), four columns of n_syn values (pre, post, weight, delay), three
    columns of n_ev values (cycle, neuron, value, with cycles
    non-decreasing) and the table_len entries of the STDP table. Every
-   neuron index lies in [0, n), every delay in [0, slots), every leak and
-   refractory period is >= 0 (validate_network checks all of these) and
+   neuron index lies in [0, n), every delay in [0, slots), every weight in
+   the signed range of weight_width bits, every leak and refractory period
+   is >= 0 (validate_network checks all of these) and
    1 <= weight_width <= 63. rk_step relies on the signs: a leak of 0 leaves
    a charge as it is without a test, and a neuron with neither refractory
-   period has a relative period of exactly 0. Returns NULL when an
-   allocation fails. */
+   period has a relative period of exactly 0. It relies on the weight range
+   too: clamping a weight it adds 0 to leaves the weight as it is. Returns
+   NULL when an allocation fails. */
 rk *rk_new(int64_t n, int64_t n_syn, int64_t n_ev, int64_t table_len, int64_t slots,
            int64_t stdp, int64_t weight_width, const int64_t *input)
 {
@@ -222,11 +248,16 @@ rk *rk_new(int64_t n, int64_t n_syn, int64_t n_ev, int64_t table_len, int64_t sl
     return k;
 }
 
-/* Doubles the capacity of s; -1 when that cannot be allocated. */
-static int grow(slot *s)
+/* Doubles the capacity of s, from 8, until it holds need values and s has
+   storage; -1 when that cannot be allocated. */
+static int reserve(slot *s, int64_t need)
 {
-    int64_t cap = s->cap ? 2 * s->cap : 8;
-    int64_t *data = realloc(s->data, (size_t)cap * sizeof *data);
+    int64_t cap = s->cap ? s->cap : 8, *data;
+    if (s->cap && need <= s->cap)
+        return 0;
+    while (cap < need)
+        cap *= 2;
+    data = realloc(s->data, (size_t)cap * sizeof *data);
     if (!data)
         return -1;
     s->data = data;
@@ -238,7 +269,7 @@ static int grow(slot *s)
    common case stays small enough to inline in the loops. */
 static int push(slot *s, int64_t j)
 {
-    if (s->size == s->cap && grow(s) < 0)
+    if (s->size == s->cap && reserve(s, s->size + 1) < 0)
         return -1;
     s->data[s->size++] = j;
     return 0;
@@ -267,7 +298,15 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
             *restrict syn_weight = k->syn_weight, *restrict syn_last_delivery = k->syn_last_delivery;
     slot *restrict ring = k->ring;
     const int64_t *restrict now;
-    int64_t i, j, p, x, e, s, a, ph, lk, fl, w, delta, last, size, count = 0;
+    int64_t *restrict log = NULL;
+    int64_t i, j, p, x, e, s, a, ph, lk, fl, w, delta, ok, last, size, count = 0;
+
+    /* Room for every neuron to fire, so FIRE logs without a capacity test. */
+    if (fired) {
+        if (reserve(fired, fired->size + n) < 0)
+            return -1;
+        log = fired->data + fired->size;
+    }
 
     /* FIRE, then LEAK, suspended during absolute refractory. A fired neuron
        rests at its floor, so LEAK leaves it as it is. */
@@ -275,8 +314,8 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
         a = acc[i];
         ph = phase[i];
         if (last_exceed[i] == t - 1) {
-            if (fired && push(fired, i) < 0)
-                return -1;
+            if (log)
+                log[count] = i;
             count++;
             for (x = out_start[i]; x < out_start[i + 1]; x++) {
                 s = base + out_delay[x];
@@ -294,6 +333,8 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
         /* a - lk only where a > fl, so it cannot overflow */
         acc[i] = a > fl ? (a - lk > fl ? a - lk : fl) : a;
     }
+    if (fired)
+        fired->size += count;
 
     /* DELIVER */
     now = ring[base].data;
@@ -315,32 +356,11 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
     if (charges && n)
         memcpy(charges, acc, (size_t)n * sizeof *charges);
 
-    /* SETTLE: threshold comparison and STDP, then the resting floors and
-       the refractory bookkeeping */
+    /* SETTLE: threshold comparison, then the resting floors and the
+       refractory bookkeeping */
     for (i = 0; i < n; i++) {
         a = acc[i];
-        if (a > threshold[i]) {
-            if (stdp)
-                for (x = pre_start[i]; x < pre_start[i + 1]; x++) {
-                    j = pre_list[x];
-                    last = syn_last_delivery[j];
-                    if (last >= 0 && half - (t - last) >= 0) {
-                        w = syn_weight[j] + table[half - (t - last)];
-                        syn_weight[j] = w < lo ? lo : w > hi ? hi : w;
-                    }
-                }
-            last_exceed[i] = t;
-        } else if (stdp && last_exceed[i] >= 0
-                   && half + (t - last_exceed[i]) < table_len) {
-            delta = table[half + (t - last_exceed[i])];
-            for (x = pre_start[i]; x < pre_start[i + 1]; x++) {
-                j = pre_list[x];
-                if (syn_last_delivery[j] == t) {
-                    w = syn_weight[j] + delta;
-                    syn_weight[j] = w < lo ? lo : w > hi ? hi : w;
-                }
-            }
-        }
+        last_exceed[i] = a > threshold[i] ? t : last_exceed[i];
 
         /* No floor during absolute refractory. A relative period that ends
            lifts the charge to the standard floor as well. */
@@ -358,6 +378,32 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
         }
         acc[i] = a;
     }
+
+    /* STDP: potentiation of the synapses into a neuron that exceeded in
+       this cycle, depression of those into one whose last exceed the table
+       reaches forward from. The header says why the loops do not branch. */
+    if (stdp)
+        for (i = 0; i < n; i++) {
+            if (last_exceed[i] == t)
+                for (x = pre_start[i]; x < pre_start[i + 1]; x++) {
+                    j = pre_list[x];
+                    last = syn_last_delivery[j];
+                    last = last >= 0 ? last : t - half - 1;
+                    delta = half - (t - last);
+                    ok = delta >= 0;
+                    w = syn_weight[j] + (table[ok ? delta : 0] & -ok);
+                    syn_weight[j] = w < lo ? lo : w > hi ? hi : w;
+                }
+            else if (last_exceed[i] >= 0 && half + (t - last_exceed[i]) < table_len) {
+                delta = table[half + (t - last_exceed[i])];
+                for (x = pre_start[i]; x < pre_start[i + 1]; x++) {
+                    j = pre_list[x];
+                    ok = syn_last_delivery[j] == t;
+                    w = syn_weight[j] + (delta & -ok);
+                    syn_weight[j] = w < lo ? lo : w > hi ? hi : w;
+                }
+            }
+        }
     k->cycle = t + 1;
     return count;
 }

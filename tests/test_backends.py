@@ -61,16 +61,18 @@ def test_kernel_builds_wherever_cc_exists():
 @needs_kernel
 def test_kernel_compiles_without_warnings(tmp_path):
     # Some warnings, such as an unused static function, need code generation,
-    # so the kernel is also built at -O2 as compiled.py builds it.
+    # so the kernel is also built at -O2, as compiled.py builds it, and at
+    # -O3, whose deeper analysis warns about more.
     # -Wconversion catches an implicit narrowing of the kernel's int64_t values.
     flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Wconversion", "-Wshadow", "-Werror"]
     proc = subprocess.run(["cc", *flags, "-fsyntax-only", str(compiled._SOURCE)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    proc = subprocess.run(["cc", "-O2", *flags, "-shared", "-fPIC", "-o",
-                           str(tmp_path / "kernel.so"), str(compiled._SOURCE)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    for level in ("-O2", "-O3"):
+        proc = subprocess.run(["cc", level, *flags, "-shared", "-fPIC", "-o",
+                               str(tmp_path / "kernel.so"), str(compiled._SOURCE)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (level, proc.stderr)
 
 
 # A definition of an rk_* function in kernel.c: "static " or not, the return
@@ -109,8 +111,10 @@ def test_int64s_packs_columns_end_to_end():
 
 
 # Runs in a child process over a kernel library built elsewhere (argv[1]):
-# every golden, a 256-neuron STDP network, a 64-neuron network with every
-# feature, neurons with no synapses, no stimulus and an empty STDP table
+# every golden, a 256-neuron STDP network, the 1024-neuron, 16k-synapse STDP
+# shape of the dense benchmark (most neurons exceed every cycle, so the STDP
+# loops visit most synapses), a 64-neuron network with every feature,
+# neurons with no synapses, no stimulus and an empty STDP table
 # (zero-size ranges in the kernel's state block) and the empty network,
 # compiled against python. Exit 77 when the library cannot be loaded here.
 SANITIZED_RUN = """
@@ -127,6 +131,7 @@ compiled._library = lambda: lib
 setups = [(case.name, case.network, case.hardware, case.stimulus, case.cycles)
           for case in goldens.discover_cases()]
 setups.append(("stdp_256", *build_setup(256, 8, 4, stdp=True, seed=7), 300))
+setups.append(("stdp_1024", *build_setup(1024, 16, 4, stdp=True, seed=7), 20))
 setups.append(("mixed_64", *mixed_setup(64, 8, True, 200, seed=3), 200))
 hw = HardwareConstants(accumulator_width=8, threshold_width=4, weight_width=4, max_delay=2,
                        max_leak=2, max_abs_refractory=2, max_rel_refractory=2, ports=2,
@@ -167,7 +172,7 @@ def sanitized_run(tmp_path, golden_cases, sanitizer: str, env: dict[str, str]):
     if proc.returncode == 77:
         pytest.skip("the sanitizer runtime cannot be loaded here")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{len(golden_cases) + 4} setups\n"
+    assert proc.stdout == f"{len(golden_cases) + 5} setups\n"
     return proc
 
 

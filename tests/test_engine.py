@@ -209,7 +209,8 @@ def test_run_zero_cycles_is_empty():
     assert engine.cycle == 0
 
 
-def test_potentiation_uses_stale_delivery_marks():
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_potentiation_uses_stale_delivery_marks(backend):
     # A synapse keeps its last-delivery mark; a later exceed caused purely
     # by an input spike still potentiates it when the gap fits the table.
     table = (0, 0, 3, 0, 1, 0, 0, 0)
@@ -221,7 +222,7 @@ def test_potentiation_uses_stale_delivery_marks():
         input_spike_amount=10,
     )
     engine = new_engine(net, hw(stdp_table=table), spikes((0, "A"), (3, "B")),
-                        backend="python")
+                        backend=backend)
     engine.run(2)
     # Delivery and exceed in the same cycle: gap 0 hits table[4].
     assert engine.weights() == [6]
@@ -231,7 +232,8 @@ def test_potentiation_uses_stale_delivery_marks():
     assert engine.weights() == [7]
 
 
-def test_depression_applies_to_deliveries_after_exceed():
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_depression_applies_to_deliveries_after_exceed(backend):
     table = (0, 0, -2, -3)
     net = Network(
         neurons=(NeuronSettings("A", threshold=1),
@@ -241,11 +243,83 @@ def test_depression_applies_to_deliveries_after_exceed():
         input_spike_amount=6,
     )
     engine = new_engine(net, hw(stdp_table=table), spikes((0, "A"), (0, "B")),
-                        backend="python")
+                        backend=backend)
     engine.run(2)
     # B exceeded at cycle 0; A's spike arrives at cycle 1 without pushing
     # B over threshold again, so the gap-1 depression entry applies.
     assert engine.weights() == [-1]
+
+
+def stdp_pair(backend: str, table: tuple[int, ...], weight: int, a_spikes=(), b_spikes=(),
+              weight_width: int = 4):
+    """A -> B over one zero-delay synapse. An input spike makes A exceed, so
+    the synapse delivers in the next cycle; B exceeds exactly in the cycles
+    of b_spikes, as one delivery alone stays below its threshold."""
+    net = Network(
+        neurons=(NeuronSettings("A", threshold=1), NeuronSettings("B", threshold=3)),
+        synapses=(SynapseSettings("A", "B", weight, 0),),
+        stdp_enabled=True,
+        input_spike_amount=8,
+    )
+    stim = spikes(*[(c, "A") for c in a_spikes], *[(c, "B") for c in b_spikes])
+    return new_engine(net, hw(stdp_table=table, weight_width=weight_width), stim,
+                      backend=backend)
+
+
+# Tables of length 1, 2 and 4: half = 0, 1 and 2, and depression entries
+# only in the last.
+EDGE_TABLES = [(2,), (3, 1), (1, 2, 3, -2)]
+
+
+@pytest.mark.parametrize("table", EDGE_TABLES + [(1, 2, 3, 4, 5, 6, 7, -1, -2)])
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_a_never_delivered_synapse_is_not_potentiated(backend, table):
+    # B exceeds in every cycle from 0 to past half while A never fires, so
+    # the synapse has no delivery for any table entry to time.
+    half = len(table) // 2
+    engine = stdp_pair(backend, table, 1, b_spikes=range(half + 3))
+    trace = engine.run(half + 3)
+    assert fire_cycles(trace, "B") == list(range(1, half + 3))
+    assert engine.weights() == [1]
+
+
+@pytest.mark.parametrize("table", EDGE_TABLES)
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_potentiation_reaches_back_exactly_half_cycles(backend, table):
+    # A's spike at cycle 0 delivers at cycle 1; B exceeds half cycles later
+    # (gap half: table[0]) or one more (no entry).
+    half = len(table) // 2
+    for gap, weight in ((half, 1 + table[0]), (half + 1, 1)):
+        engine = stdp_pair(backend, table, 1, a_spikes=[0], b_spikes=[1 + gap])
+        engine.run(gap + 3)
+        assert engine.weights() == [weight], gap
+
+
+@pytest.mark.parametrize("table", EDGE_TABLES + [(0, 0, -1), (0, 0, 1, -1, -2)])
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_depression_reaches_forward_to_the_last_table_entry(backend, table):
+    # B exceeds at cycle 0; A's delivery arrives gap cycles later. The last
+    # entry has gap len - 1 - half, which is 0 for tables of length 1 and
+    # 2: they have no depression entry, and gap 1 changes nothing.
+    last = len(table) - 1 - len(table) // 2
+    cases = [(last + 1, 1)] + ([(last, 1 + table[-1])] if last else [])
+    for gap, weight in cases:
+        engine = stdp_pair(backend, table, 1, a_spikes=[gap - 1], b_spikes=[0])
+        engine.run(gap + 2)
+        assert engine.weights() == [weight], gap
+
+
+@pytest.mark.parametrize(("table", "weight", "a_spikes", "b_spikes", "rail"), [
+    ((3, 3, 3), 2, [0], [1], 3),  # potentiation up to the top rail
+    ((-3, -3, -3), -3, [0], [1], -4),  # potentiation down to the bottom rail
+    ((0, 0, -3), -3, [0], [0], -4),  # depression down to the bottom rail
+    ((0, 0, 3), 2, [0], [0], 3),  # depression up to the top rail
+])
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_stdp_saturates_at_both_weight_rails(backend, table, weight, a_spikes, b_spikes, rail):
+    engine = stdp_pair(backend, table, weight, a_spikes, b_spikes, weight_width=3)
+    engine.run(4)
+    assert engine.weights() == [rail]
 
 
 def test_stdp_disabled_freezes_weights():
@@ -329,6 +403,25 @@ def test_a_filled_trace_refuses_another_cycle(backend):
     with pytest.raises(IndexError, match="every cycle of the trace is filled"):
         trace.add([0], [5] * len(trace.names))
     assert (trace.fired, trace.counts, trace.charges) == columns
+
+
+def test_trace_add_refuses_a_malformed_cycle():
+    # A charge row of the wrong length would resize the charge block and
+    # shift every later cycle ([1, 0, 2, 3] here); it, and a fired index
+    # outside the names, is refused before any column changes.
+    t = Trace(("A", "B"), range(2))
+    with pytest.raises(ValueError, match="1 charges for 2 neurons"):
+        t.add([], [1])
+    t.add([0], [2, 3])
+    assert t.charges == array("q", [2, 3, 0, 0])
+    for fired, charges in (([5], [1, 2]), ([-1], [1, 2]), ([1, 2], [1, 2]), ([], [1, 2, 3])):
+        with pytest.raises(ValueError):
+            t.add(fired, charges)
+    assert (t.fired, t.counts, t.charges) == (array("q", [0]), array("q", [1, 0]),
+                                              array("q", [2, 3, 0, 0]))
+    t.add([1], [4, 5])
+    assert [(r.fired, r.charges) for r in t] == [(("A",), {"A": 2, "B": 3}),
+                                                (("B",), {"A": 4, "B": 5})]
 
 
 @pytest.mark.parametrize("backend", EVERY_BACKEND)
