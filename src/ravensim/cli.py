@@ -21,7 +21,7 @@ import sys
 import time
 
 from .engine import BACKENDS, new_engine
-from .ioformats import format_trace, load_hardware, load_stimulus, parse_network, read_text
+from .ioformats import format_trace, integer, load_hardware, load_stimulus, parse_network, read_text
 from .netmodel import ValidationError, resource_report, validate_network
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hw", required=True)
     p.add_argument("--net", required=True)
     p.add_argument("--stim", required=True, help="stimulus text file")
-    p.add_argument("--cycles", type=int, required=True, help="number of cycles (>= 0)")
+    p.add_argument("--cycles", type=integer, required=True, help="number of cycles (>= 0)")
     p.add_argument("--format", choices=("table", "jsonl"), default="table")
     p.add_argument("--backend", choices=BACKENDS, default="auto")
     p.set_defaults(func=_cmd_run)

@@ -67,13 +67,13 @@ class Engine:
     """A simulator over one network: the public state and the traces around
     the cycle core of one backend. Not thread-safe."""
 
-    def __init__(self, backend: str, names: list[str], core,
+    def __init__(self, backend: str, names: tuple[str, ...], core,
                  delivery_log: list[tuple[int, int, int]] | None = None):
         self.backend = backend
-        self.names = tuple(names)
+        self.names = names
         self.cycle = 0
-        # (scheduled cycle, delivery cycle, synapse index) when recording.
-        self.delivery_log = [] if delivery_log is None else delivery_log
+        # (scheduled cycle, delivery cycle, synapse index) when recording, else None.
+        self.delivery_log = delivery_log
         self._core = core
 
     def step(self) -> CycleReport:
@@ -131,17 +131,17 @@ def new_engine(net: Network, hw: HardwareConstants, stim: Stimulus | None = None
     if backend == "reference":
         from .reference import ReferenceEngine  # the oracle stays off the run path
 
-        return Engine(backend, net.neuron_names(), ReferenceEngine(net, hw, stim))
+        return Engine(backend, net.neurons.name, ReferenceEngine(net, hw, stim))
 
     layout = build_layout(net, hw, stim)
     if backend == "auto":
         backend = "compiled" if not record_deliveries and compiled.available() else "python"
     if backend == "python":
         log = [] if record_deliveries else None
-        return Engine(backend, layout.names, PyEngine(layout, log), log)
+        return Engine(backend, net.neurons.name, PyEngine(layout, log), log)
     if not compiled.available():
         raise ValueError("compiled backend requested but the kernel cannot be built")
-    return Engine(backend, layout.names, compiled.CompiledEngine(layout))
+    return Engine(backend, net.neurons.name, compiled.CompiledEngine(layout))
 
 
 def new_reference_engine(net: Network, hw: HardwareConstants,

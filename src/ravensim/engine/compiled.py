@@ -62,7 +62,7 @@ def _bind(path: Path):
 
     lib = ctypes.CDLL(str(path))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.rk_new.argtypes = [i64, i64, i64, i64, i64, i64, i64, ptr]
+    lib.rk_new.argtypes = [i64, i64, i64, i64, i64, ptr]
     lib.rk_new.restype = ptr
     lib.rk_free.argtypes = [ptr]
     lib.rk_free.restype = None
@@ -116,7 +116,7 @@ class CompiledEngine:
 
     def __init__(self, layout: Layout):
         lib = self._lib = _library()  # new_engine has checked that it is available
-        self._n = n = len(layout.names)
+        self._n = n = len(layout.threshold)
         self._n_syn = len(layout.syn_pre)
 
         table = layout.stdp_table
@@ -124,8 +124,8 @@ class CompiledEngine:
                          layout.abs_refractory, layout.rel_refractory, layout.leak,
                          layout.syn_pre, layout.syn_post, layout.syn_weight, layout.syn_delay,
                          layout.ev_cycle, layout.ev_neuron, layout.ev_value, table)
-        self._k = lib.rk_new(n, self._n_syn, len(layout.ev_cycle), len(table), layout.ring_slots,
-                             layout.stdp_enabled, layout.weight_width, packed)
+        self._k = lib.rk_new(n, self._n_syn, len(layout.ev_cycle), len(table),
+                             layout.weight_width, packed)
         if not self._k:
             raise MemoryError("cannot allocate the kernel state")
         weakref.finalize(self, lib.rk_free, self._k)

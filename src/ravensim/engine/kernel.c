@@ -68,12 +68,14 @@
    capacity test, into room for n values that rk_step reserves before the
    pass.
 
-   The delivery ring keeps one growable slot per (cycle mod slots), for
-   the longest delay in use + 1 slots; hw.max_delay sizes nothing. A
-   synapse enters a slot at most once before the slot drains, because its
-   delay is shorter than the ring. A cycle takes one modulo: its slot is
-   base = cycle % slots, and a push with delay d goes to base + d, less
-   slots when that reaches slots.
+   The delivery ring keeps one growable slot per (cycle mod slots). rk_new
+   sizes it from the delays it is given, the longest + 1 slots, so no
+   caller passes a size and hw.max_delay sizes nothing. A synapse enters a
+   slot at most once before the slot drains, because its delay is shorter
+   than the ring. A cycle takes one modulo: its slot is base = cycle %
+   slots, and a push with delay d goes to base + d, less slots when that
+   reaches slots. Per-delay FIFOs of fires ran the dense benchmark network
+   18-28% slower (ROADMAP item 2).
 
    rk_step copies every field and array pointer it reads into locals before
    its loops and qualifies the arrays restrict. That holds because the
@@ -104,7 +106,7 @@ typedef struct {
    A range of zero values takes no room, so its pointer may equal the
    next one's; nothing reads through it. */
 typedef struct rk {
-    int64_t n, n_syn, n_ev, slots, table_len, stdp, weight_lo, weight_hi;
+    int64_t n, n_syn, n_ev, slots, table_len, weight_lo, weight_hi;
     int64_t cycle, ev_cursor;
 
     /* Per-neuron settings, n values each; threshold starts the block. */
@@ -174,7 +176,7 @@ void rk_free(rk *k)
    leak), four columns of n_syn values (pre, post, weight, delay), three
    columns of n_ev values (cycle, neuron, value, with cycles
    non-decreasing) and the table_len entries of the STDP table. Every
-   neuron index lies in [0, n), every delay in [0, slots), every weight in
+   neuron index lies in [0, n), every delay in [0, 2**62), every weight in
    the signed range of weight_width bits, every leak and refractory period
    is >= 0 (validate_network checks all of these) and
    1 <= weight_width <= 63. rk_step relies on the signs: a leak of 0 leaves
@@ -182,8 +184,8 @@ void rk_free(rk *k)
    period has a relative period of exactly 0. It relies on the weight range
    too: clamping a weight it adds 0 to leaves the weight as it is. Returns
    NULL when an allocation fails. */
-rk *rk_new(int64_t n, int64_t n_syn, int64_t n_ev, int64_t table_len, int64_t slots,
-           int64_t stdp, int64_t weight_width, const int64_t *input)
+rk *rk_new(int64_t n, int64_t n_syn, int64_t n_ev, int64_t table_len, int64_t weight_width,
+           const int64_t *input)
 {
     const int64_t given = 6 * n + 4 * n_syn + 3 * n_ev + table_len;
     int64_t i, *p;
@@ -193,18 +195,22 @@ rk *rk_new(int64_t n, int64_t n_syn, int64_t n_ev, int64_t table_len, int64_t sl
     k->n = n;
     k->n_syn = n_syn;
     k->n_ev = n_ev;
-    k->slots = slots;
     k->table_len = table_len;
-    k->stdp = stdp && table_len > 0;
     k->weight_lo = -((int64_t)1 << (weight_width - 1));
     k->weight_hi = -k->weight_lo - 1;
+
+    /* The ring has the longest delay + 1 slots, 1 without synapses. The
+       delays are input[6n + 3 n_syn .. 6n + 4 n_syn). */
+    k->slots = 1;
+    for (i = 6 * n + 3 * n_syn; i < 6 * n + 4 * n_syn; i++)
+        k->slots = input[i] < k->slots ? k->slots : input[i] + 1;
 
     /* The state block: the input, 4n + n_syn values of state and
        2(n + 1) + 3 n_syn of adjacency, so never a zero-size allocation.
        slots is at least 1. */
     k->threshold = p = calloc((size_t)(given + 4 * n + n_syn + 2 * (n + 1) + 3 * n_syn),
                               sizeof *p);
-    k->ring = calloc((size_t)slots, sizeof *k->ring);
+    k->ring = calloc((size_t)k->slots, sizeof *k->ring);
     if (!p || !k->ring) {
         rk_free(k);
         return NULL;
@@ -284,7 +290,7 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
 {
     const int64_t t = k->cycle, n = k->n, n_ev = k->n_ev, slots = k->slots;
     const int64_t base = t % slots, table_len = k->table_len, half = table_len / 2;
-    const int64_t stdp = k->stdp, lo = k->weight_lo, hi = k->weight_hi;
+    const int64_t lo = k->weight_lo, hi = k->weight_hi;
     const int64_t *restrict threshold = k->threshold, *restrict std_rest = k->std_rest,
                   *restrict ref_rest = k->ref_rest, *restrict abs_ref = k->abs_ref,
                   *restrict rel_ref = k->rel_ref, *restrict leak = k->leak,
@@ -382,7 +388,7 @@ static int64_t rk_step(rk *k, slot *fired, int64_t *charges)
     /* STDP: potentiation of the synapses into a neuron that exceeded in
        this cycle, depression of those into one whose last exceed the table
        reaches forward from. The header says why the loops do not branch. */
-    if (stdp)
+    if (table_len) /* an empty table: STDP is off */
         for (i = 0; i < n; i++) {
             if (last_exceed[i] == t)
                 for (x = pre_start[i]; x < pre_start[i + 1]; x++) {

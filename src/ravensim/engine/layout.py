@@ -14,14 +14,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
-from ..netmodel import INT64_MAX, HardwareConstants, Network, delivery_slots, signed_range
+from ..netmodel import INT64_MAX, HardwareConstants, Network, signed_range
 from .events import INJECTION, Events, Stimulus
 
 
 @dataclass(frozen=True)
 class Layout:
-    names: list[str]
-
     # Per-neuron settings, indexed by neuron.
     threshold: Sequence[int]
     standard_resting: Sequence[int]
@@ -44,9 +42,7 @@ class Layout:
     ev_neuron: Sequence[int]
     ev_value: Sequence[int]
 
-    ring_slots: int  # the longest delay in use + 1 (netmodel.delivery_slots)
-    stdp_enabled: bool
-    stdp_table: tuple[int, ...]
+    stdp_table: tuple[int, ...]  # empty when STDP is off
     weight_width: int
 
 
@@ -135,7 +131,6 @@ def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
 
     # The network's and the stimulus's columns are immutable tuples and are shared.
     return Layout(
-        names=list(neurons.name),
         threshold=neurons.threshold,
         standard_resting=neurons.standard_resting,
         refractory_resting=neurons.refractory_resting,
@@ -150,8 +145,6 @@ def build_layout(net: Network, hw: HardwareConstants, stim: Stimulus) -> Layout:
         ev_neuron=_indices(index, ev_neuron),
         ev_value=[value if kind == INJECTION else amount
                   for kind, value in zip(ev_kind, ev_value)],
-        ring_slots=delivery_slots(net),
-        stdp_enabled=net.stdp_enabled,
-        stdp_table=tuple(hw.stdp_table),
+        stdp_table=tuple(hw.stdp_table) if net.stdp_enabled else (),
         weight_width=hw.weight_width,
     )

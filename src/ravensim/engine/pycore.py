@@ -21,7 +21,7 @@ class PyEngine:
 
     def __init__(self, layout: Layout, delivery_log: list[tuple[int, int, int]] | None = None):
         self.lay = layout
-        self.n = n = len(layout.names)
+        self.n = n = len(layout.threshold)
         n_syn = len(layout.syn_pre)
         self.weight = list(layout.syn_weight)
         self.weight_lo = -(1 << (layout.weight_width - 1))
@@ -116,7 +116,7 @@ class PyEngine:
         threshold, pre_synapses = lay.threshold, self.pre_synapses
         table = lay.stdp_table
         tsize = len(table)
-        stdp = lay.stdp_enabled and tsize > 0
+        stdp = tsize > 0
         half = tsize // 2
         wlo, whi = self.weight_lo, self.weight_hi
         for i in range(self.n):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections.abc import Container, Sequence
 from itertools import chain, repeat
 from operator import itemgetter
@@ -286,12 +287,16 @@ def save_network(net: Network) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
+# An integer as save_stimulus writes it; int() alone also reads "1_0" and "١".
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INTEGERS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")  # separated by single spaces
+
+
+def integer(text: str) -> int:
+    """text as ASCII digits with an optional sign; ValueError for any other spelling."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 # (keyword, token count) of the two stimulus line shapes, AS and AI.
@@ -309,11 +314,11 @@ def _stimulus_error(lines: list[str]) -> None:
         if (parts[0], len(parts)) not in _STIMULUS_SHAPES:
             raise FormatError(f"{where}: expected \"AS <cycle> <neuron>\" or "
                               f"\"AI <cycle> <neuron> <value>\", got {line!r}")
-        if not _is_int(parts[1]):
+        if not _INTEGER.fullmatch(parts[1]):
             raise FormatError(f"{where}: cycle must be an integer")
         if int(parts[1]) < 0:
             raise FormatError(f"{where}: cycle must be >= 0")
-        if len(parts) == 4 and not _is_int(parts[3]):
+        if len(parts) == 4 and not _INTEGER.fullmatch(parts[3]):
             raise FormatError(f"{where}: injection value must be an integer")
 
 
@@ -327,15 +332,16 @@ def _stimulus_columns(text: str, lines: list[str]) -> list[list] | None:
     shapes = set(zip(map(itemgetter(0), rows), map(len, rows)))
     if not shapes <= _STIMULUS_SHAPES:
         return None
-    try:
-        cycles = list(map(int, map(itemgetter(1), rows)))
-        if ("AI", 4) in shapes:
-            kinds = [INPUT_SPIKE if len(parts) == 3 else INJECTION for parts in rows]
-            values = [0 if len(parts) == 3 else int(parts[3]) for parts in rows]
-        else:
-            kinds, values = [INPUT_SPIKE] * len(rows), [0] * len(rows)
-    except ValueError:
+    cycles = list(map(itemgetter(1), rows))
+    injected = [parts[3] for parts in rows if len(parts) == 4] if ("AI", 4) in shapes else []
+    if rows and not _INTEGERS.fullmatch(" ".join(cycles + injected)):
         return None
+    cycles = list(map(int, cycles))
+    if injected:
+        kinds = [INPUT_SPIKE if len(parts) == 3 else INJECTION for parts in rows]
+        values = [0 if len(parts) == 3 else int(parts[3]) for parts in rows]
+    else:
+        kinds, values = [INPUT_SPIKE] * len(rows), [0] * len(rows)
     if cycles and min(cycles) < 0:
         return None
     return [cycles, list(map(itemgetter(2), rows)), kinds, values]

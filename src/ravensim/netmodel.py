@@ -312,11 +312,6 @@ def validate_network(net: Network, hw: HardwareConstants) -> ValidationReport:
                             min_accumulator_width=needed)
 
 
-def delivery_slots(net: Network) -> int:
-    """The delivery ring's length: the longest delay in use + 1 (hw.max_delay sizes nothing)."""
-    return max(net.synapses.delay, default=0) + 1
-
-
 def resource_report(net: Network, hw: HardwareConstants) -> str:
     """Human-readable resource summary for a network on given hardware."""
     fan_in = Counter(net.synapses.post)
@@ -327,7 +322,7 @@ def resource_report(net: Network, hw: HardwareConstants) -> str:
         f"stdp table size: {len(hw.stdp_table)}",
         f"min accumulator width: {needed}",
         f"accumulator width: {hw.accumulator_width}",
-        f"delivery buffer slots: {delivery_slots(net)}",
+        f"longest delay: {max(net.synapses.delay, default=0)}",
     ]
     if net.neurons:
         lines.append("port usage:")

@@ -200,8 +200,8 @@ def mixed_setup(n_neurons: int, fan_out: int, stdp: bool, cycles: int,
 # JSON values of every type, including the empty name, a float and an int
 # beyond 64 bits.
 _ODD_VALUES = (None, True, False, 0, -3, 7, 2.5, 1 << 70, "", "n0", "x", [], [1, "x"], {}, {"k": 1})
-# Stimulus tokens: keywords, names, integer spellings int() accepts or refuses,
-# and a comment mark.
+# Stimulus tokens: keywords, names, integer spellings the reader accepts or
+# refuses (int() alone would read "1_0" and "٣"), and a comment mark.
 _ODD_TOKENS = ("AS", "AI", "XX", "n0", "Z", "0", "-1", "+3", "007", "1_0", "1.5", "x", "٣",
                "#")
 

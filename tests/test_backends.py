@@ -10,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -119,9 +120,11 @@ def test_int64s_packs_columns_end_to_end():
 # compiled against python. Exit 77 when the library cannot be loaded here.
 SANITIZED_RUN = """
 import sys
+from dataclasses import replace
 from fuzz import build_setup, mixed_setup
-from ravensim import HardwareConstants, Network, NeuronSettings, goldens, new_engine
-from ravensim.engine import Stimulus, compiled
+from ravensim import (HardwareConstants, Network, NeuronSettings, SynapseSettings, goldens,
+                      new_engine)
+from ravensim.engine import Stimulus, StimulusEvent, compiled
 
 try:
     lib = compiled._bind(sys.argv[1])
@@ -132,6 +135,8 @@ setups = [(case.name, case.network, case.hardware, case.stimulus, case.cycles)
           for case in goldens.discover_cases()]
 setups.append(("stdp_256", *build_setup(256, 8, 4, stdp=True, seed=7), 300))
 setups.append(("stdp_1024", *build_setup(1024, 16, 4, stdp=True, seed=7), 20))
+net, hw, stim = build_setup(256, 8, 4, stdp=True, seed=7)
+setups.append(("stdp_off_256", replace(net, stdp_enabled=False), hw, stim, 300))  # table_len 0
 setups.append(("mixed_64", *mixed_setup(64, 8, True, 200, seed=3), 200))
 hw = HardwareConstants(accumulator_width=8, threshold_width=4, weight_width=4, max_delay=2,
                        max_leak=2, max_abs_refractory=2, max_rel_refractory=2, ports=2,
@@ -140,6 +145,11 @@ lonely = (NeuronSettings("A", threshold=1, standard_resting=3, leak=1),
           NeuronSettings("B", threshold=2, abs_refractory=1))
 setups.append(("no_synapses", Network(lonely, ()), hw, Stimulus(), 20))
 setups.append(("empty", Network((), ()), hw, Stimulus(), 20))
+# The longest delay only on the last synapse: rk_new must read every delay.
+ping = (SynapseSettings("A", "B", 2, 0), SynapseSettings("B", "A", 2, 1),
+        SynapseSettings("A", "B", 2, 2))
+setups.append(("last_delay_longest", Network(lonely, ping), hw,
+               Stimulus((StimulusEvent(0, "A"),)), 50))
 for name, net, hw, stim, cycles in setups:
     py = new_engine(net, hw, stim, backend="python")
     ck = new_engine(net, hw, stim, backend="compiled")
@@ -172,7 +182,7 @@ def sanitized_run(tmp_path, golden_cases, sanitizer: str, env: dict[str, str]):
     if proc.returncode == 77:
         pytest.skip("the sanitizer runtime cannot be loaded here")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{len(golden_cases) + 5} setups\n"
+    assert proc.stdout == f"{len(golden_cases) + 7} setups\n"
     return proc
 
 
@@ -463,13 +473,43 @@ def delay_setup(max_delay: int, delays: tuple[int, ...]):
     return net, hw, Stimulus((StimulusEvent(0, "A"), StimulusEvent(4, "A")))
 
 
-@pytest.mark.parametrize("delays, slots", [((), 1), ((1,), 2), ((0, 3, 1, 2, 0, 3, 1), 4)],
-                         ids=["no_synapses", "one_synapse", "seven_synapses"])
-def test_ring_slots_are_the_longest_delay_in_use(delays, slots):
-    net, hw, stim = delay_setup(2**40, delays)
+DELAY_SETS = [(), (1,), (0, 3, 1, 2, 0, 3, 1)]
+DELAY_SET_IDS = ["no_synapses", "one_synapse", "seven_synapses"]
+
+
+@pytest.mark.parametrize("delays, longest", zip(DELAY_SETS, [0, 1, 3]), ids=DELAY_SET_IDS)
+def test_report_names_the_longest_delay_in_use(delays, longest):
+    net, hw, _ = delay_setup(2**40, delays)
     assert validate_network(net, hw).ok
-    assert build_layout(net, hw, stim).ring_slots == slots
-    assert f"delivery buffer slots: {slots}" in resource_report(net, hw).splitlines()
+    assert f"longest delay: {longest}" in resource_report(net, hw).splitlines()
+
+
+@pytest.mark.parametrize("delays", DELAY_SETS, ids=DELAY_SET_IDS)
+@pytest.mark.parametrize("backend", [COMPILED, "reference"])
+def test_backends_agree_whatever_the_delays_in_use(backend, delays):
+    # The kernel sizes its ring from the delays it is given; 2**40 allows
+    # far longer ones than any in use.
+    net, hw, stim = delay_setup(2**40, delays)
+    py = new_engine(net, hw, stim, backend="python")
+    other = new_engine(net, hw, stim, backend=backend)
+    assert other.run(12) == py.run(12)
+    assert other.charges() == py.charges()
+    assert other.weights() == py.weights()
+    assert other.phases() == py.phases()
+
+
+@pytest.mark.parametrize("backend", ["python", COMPILED, "reference"])
+def test_stdp_off_changes_no_weight_whatever_the_table(backend):
+    on, hw, stim = delay_setup(2**40, DELAY_SETS[-1])
+    off = replace(on, stdp_enabled=False)
+    assert hw.stdp_table and build_layout(off, hw, stim).stdp_table == ()
+    plastic = new_engine(on, hw, stim, backend=backend)
+    plastic.run(12)
+    assert plastic.weights() != list(on.synapses.weight)  # the same input moves weights
+    engine = new_engine(off, hw, stim, backend=backend)
+    for _ in range(12):
+        engine.step()
+        assert engine.weights() == list(off.synapses.weight)
 
 
 @pytest.mark.parametrize("backend", [COMPILED, "reference"])

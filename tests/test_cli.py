@@ -159,9 +159,10 @@ def test_impossible_cycle_count_fails_at_once(backend, cycles, case_paths):
 
 @pytest.mark.parametrize("backend", ["default", "compiled", "python", "reference"])
 def test_kernel_state_too_large_fails_at_once(backend, tmp_path):
-    # One synapse of delay 10**8 needs a delivery ring of 10**8 + 1 slots,
-    # which rk_new cannot allocate under the cap; the python core and the
-    # reference oracle keep no ring and run.
+    # rk_new sizes its delivery ring from the delays it copies: one synapse
+    # of delay 10**8 makes it 10**8 + 1 slots, which it cannot allocate
+    # under the cap. The python core and the reference oracle keep no ring
+    # and run.
     if backend in ("default", "compiled"):
         skip_compiled_without_cc("compiled")
         assert kernel_available()  # built here, outside the cap
@@ -204,6 +205,16 @@ def test_run_rejects_negative_cycles(case_paths, capsys):
     _, err = capsys.readouterr()
     assert code == EXIT_USAGE
     assert "--cycles" in err
+
+
+@pytest.mark.parametrize("cycles", ["1_2", "\u0661\u0662", " 12"])
+def test_run_reads_cycles_as_ascii_digits_only(cycles, case_paths, capsys):
+    # int() alone would read each of these as 12.
+    code = main(["run", "--hw", case_paths["hw"], "--net", case_paths["net"],
+                 "--stim", case_paths["stim"], "--cycles", cycles])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "argument --cycles: invalid integer value" in err
 
 
 def test_parse_error_exits_2(tmp_path, case_paths, capsys):

@@ -110,6 +110,17 @@ def test_delivery_arrives_exactly_delay_cycles_after_fire():
         assert engine.delivery_log == [(1, 1 + delay, 0)]
 
 
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_delivery_log_is_none_unless_recorded(backend):
+    # An engine that records nothing has no log, rather than an empty one
+    # that would read as "no deliveries".
+    net = Network((NeuronSettings("A", threshold=1), NeuronSettings("B", threshold=50)),
+                  (SynapseSettings("A", "B", 3, 1),), input_spike_amount=2)
+    engine = new_engine(net, hw(), spikes((0, "A")), backend=backend)
+    assert charges_of(engine.run(4), "B") == [0, 0, 3, 3]  # delivered at cycle 2
+    assert engine.delivery_log is None
+
+
 def test_leak_decays_toward_resting_and_stops_there():
     net = Network(
         neurons=(NeuronSettings("L", threshold=50, standard_resting=-1, leak=2),),

@@ -323,11 +323,26 @@ def test_load_stimulus_reports_syntax_errors_before_rule_errors():
         load_stimulus("AS 3 Z\nAI 0 A 99\n", net, hw)
 
 
-def test_load_stimulus_accepts_python_integer_spellings():
-    text = "AS +3 A\nAS 007 A\nAS 1_0 A\nAI 0 In +3\nAI 0 In -0_7 # comment\n"
+def test_load_stimulus_accepts_signs_and_leading_zeros():
+    text = "AS +3 A\nAS 007 A\nAS 010 A\nAI 0 In +3\nAI 0 In -07 # comment\n"
     stim = load_stimulus(text, make_net(), load_hardware(hw_text()))
     assert [(ev.cycle, ev.value) for ev in stim.events] == [(0, 3), (0, -7), (3, 0), (7, 0),
                                                             (10, 0)]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("AS 1_0 A", "cycle must be an integer"),
+    ("AS \u0661 A", "cycle must be an integer"),  # ARABIC-INDIC DIGIT ONE
+    ("AS \uff11 A", "cycle must be an integer"),  # FULLWIDTH DIGIT ONE
+    ("AI 0 A -0_1", "injection value must be an integer"),
+    ("AI 0 In \u0661", "injection value must be an integer"),
+], ids=["underscore", "arabic_indic", "fullwidth", "injection_underscore",
+        "injection_arabic_indic"])
+def test_load_stimulus_refuses_python_only_integer_spellings(line, message):
+    # int() alone would read each of these; save_stimulus writes none of them.
+    hw = load_hardware(hw_text())
+    with pytest.raises(FormatError, match=f"^stimulus line 2: {message}$"):
+        load_stimulus(f"AS 0 A\n{line}\nAS 1 A\n", make_net(), hw)
 
 
 def test_save_stimulus_round_trip():

@@ -279,7 +279,7 @@ def test_resource_report_contents():
     assert "synapses: 1" in lines
     assert "min accumulator width: 7" in lines
     assert "accumulator width: 7" in lines
-    assert "delivery buffer slots: 1" in lines  # only a zero-delay synapse
+    assert "longest delay: 0" in lines  # only a zero-delay synapse
     assert "  B: 1/8" in lines
 
 
