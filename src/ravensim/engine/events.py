@@ -133,8 +133,8 @@ class Trace(Sequence[CycleReport]):
         """Fills the next cycle: the indices that fired and every charge, in
         names order. IndexError when every cycle is filled, ValueError for a
         charge row that is not one charge per name or a fired index outside
-        range(len(names)), and OverflowError for a charge beyond int64, each
-        with every column as it was."""
+        range(len(names)) or repeated, and OverflowError for a charge beyond
+        int64, each with every column as it was."""
         c, n = self._added, len(self.names)
         if c == len(self.counts):
             raise IndexError("every cycle of the trace is filled")
@@ -142,32 +142,46 @@ class Trace(Sequence[CycleReport]):
             raise ValueError(f"{len(charges)} charges for {n} neurons")
         if fired and not (min(fired) >= 0 and max(fired) < n):
             raise ValueError(f"fired indices must lie in range({n})")
+        if len(set(fired)) < len(fired):
+            raise ValueError("a fired index repeats")
         self.charges[c * n:(c + 1) * n] = array("q", charges)
         self._added = c + 1
         self.fired.extend(fired)
         self.counts[c] = len(fired)
 
+    class RowError(ValueError):
+        """Trace.of's refusal of reports[row]; rule(noun) states it, with noun naming a row."""
+
+        def __init__(self, row: int, cycle: int, rule: str = ""):
+            self.row, self._rule = row, rule
+            super().__init__(f"cycle {cycle}: {self.rule('cycle')}")
+
+        def rule(self, noun: str) -> str:
+            return self._rule or f"charges must name the neurons of the first {noun} and no others"
+
     @classmethod
     def of(cls, reports: Sequence[CycleReport]) -> Trace:
         """reports as a Trace: a Trace that has kept no reports is returned as
-        it is. Every report must hold a charge for the neurons of the first
-        one, and only for them; the first report's order is the trace's."""
+        it is. Every report charges the neurons of the first, and no others,
+        and fires each at most once, or Trace.RowError names the first that does
+        not; the first report's order is the trace's."""
         if isinstance(reports, Trace) and not reports._views:
             return reports
         reports = list(reports)
         names = tuple(reports[0].charges) if reports else ()
         index = {name: i for i, name in enumerate(names)}
         trace = cls(names, [rep.cycle for rep in reports])
-        for rep in reports:
+        for row, rep in enumerate(reports):
             ordered = tuple(rep.charges) == names  # then its values are the row as they stand
             if not ordered and rep.charges.keys() != index.keys():
-                raise ValueError(f"cycle {rep.cycle}: charges must name the neurons "
-                                 "of the first cycle and no others")
-            missing = next((name for name in rep.fired if name not in index), None)
-            if missing is not None:
-                raise ValueError(f"cycle {rep.cycle}: fired neuron {missing!r} has no charge")
-            trace.add([index[name] for name in rep.fired],
-                      list(rep.charges.values()) if ordered else [rep.charges[n] for n in names])
+                raise cls.RowError(row, rep.cycle)
+            fired = [index.get(name, -1) for name in rep.fired]
+            if -1 in fired or len(set(fired)) < len(fired):
+                k = next(k for k, i in enumerate(fired) if i < 0 or i in fired[:k])
+                why = "has no charge" if fired[k] < 0 else "more than once"
+                raise cls.RowError(row, rep.cycle, f"fired neuron {rep.fired[k]!r} {why}")
+            trace.add(fired, list(rep.charges.values()) if ordered
+                      else [rep.charges[n] for n in names])
         return trace
 
     def rows(self) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:

@@ -4,21 +4,17 @@
    shared library and drives it through ctypes. All fixed-size state is
    int64_t arrays cut from one block that the rk struct owns; the delivery
    ring and the fired log grow, and are the only other allocations. The
-   exported ABI is rk_new, rk_free, rk_run, rk_fired and rk_read.
-   rk_run(k, n, counts, charges) runs n cycles in one call and returns the
-   number of fires. Given caller-owned blocks, it records every cycle's
-   fire count and charges in them, and logs the indices of the neurons
-   that fired, cycle after cycle, in a buffer the kernel owns and grows;
-   rk_fired(k, dst) then copies that log into a block of exactly as many
-   values. With NULL blocks rk_run only advances. The blocks are those of
-   the Trace that Engine.run allocates, which the Python cores fill a
-   cycle at a time through Trace.add.
+   exported ABI is rk_new, rk_free, rk_run, rk_fired and rk_read. One
+   rk_run call runs many cycles, writing their fire counts and charges
+   into the blocks of the Trace that Engine.run allocates (the Python
+   cores fill them a cycle at a time through Trace.add), or, given NULL
+   blocks, only advancing; rk_fired copies out the fired indices it logged.
 
    Each cycle runs the four phases of the cycle specification (fire, leak,
    deliver, settle; README "Cycle model", written out phase by phase in
-   reference.py) in two passes over the neurons with the deliveries
-   between them, and a third for STDP when it is on. pycore.py runs the
-   same steps in the same order, with STDP inside its SETTLE pass:
+   reference.py) in three passes over the neurons: two with the deliveries
+   between them, and a third for STDP, run only when the table is not
+   empty. pycore.py runs the same passes in the same order:
 
      1. FIRE then LEAK for each neuron. A firing neuron pushes its outgoing
         synapses into the delivery ring, zero-delay ones into the slot
@@ -40,9 +36,9 @@
    SETTLE does not read, and reads the exceed stamp, which SETTLE sets to t
    exactly where the threshold test holds. SETTLE changes a charge only
    after its own threshold test, so the report copied before the pass
-   holds the compared values. Every backend computes
-   in int64_t, and the hardware and stimulus rules (netmodel.MAX_WIDTH,
-   layout.stimulus_problem) keep every sum the kernel forms inside it.
+   holds the compared values. Every backend computes in int64_t, and the
+   hardware and stimulus rules (netmodel.MAX_WIDTH, layout.stimulus_problem)
+   keep every sum the kernel forms inside it.
 
    "This cycle" needs no flags that must be cleared again: a synapse
    delivered in cycle t exactly when its last delivery stamp equals t, and
@@ -50,41 +46,36 @@
    below -1). A neuron needs no stamp of its own for "got a delivery":
    STDP depression tests the stamp of each synapse into it.
 
-   The STDP loops take no branch that depends on the data. Whether a
-   table entry applies to a synapse depends on its delivery stamp, which
-   varies from synapse to synapse, so such a branch mispredicts often;
-   on the dense benchmark network (about 13.6k potentiation and 640
-   depression visits a cycle) those branches were most of SETTLE's time.
-   Each visit adds the entry, masked to 0 where none applies, and always
-   stores the clamped weight, which after adding 0 is the weight itself:
-   validate_network keeps every weight between the rails. Potentiation
-   reads a never-delivered synapse's stamp as t - half - 1, one cycle
-   beyond the table's reach, so its gap fails the same test as a stamp
-   too old. The gap against NEVER itself, t + 2, overflows once
+   The STDP loops take no branch that depends on the data: whether an
+   entry applies depends on the synapse's delivery stamp, so such a branch
+   mispredicts often, and on the dense benchmark network (about 13.6k
+   potentiation and 640 depression visits a cycle) those branches took
+   most of the STDP time. Each visit adds the entry, masked to 0 where none
+   applies, and always stores the clamped weight, which after adding 0 is
+   the weight itself (validate_network keeps every weight between the
+   rails). Potentiation reads a never-delivered stamp as t - half - 1, one
+   cycle beyond the table's reach, so its gap fails the same test as a
+   stamp too old; the gap against NEVER itself, t + 2, overflows once
    t >= 2**63 - 2. The loops need most of the registers, so they run in a
    pass of their own: inside SETTLE's loop they made gcc 12 keep that
    loop's index and bound on the stack, about 1 us a cycle on a
-   1024-neuron network with STDP off. FIRE logs the fired indices with no
-   capacity test, into room for n values that rk_step reserves before the
-   pass.
+   1024-neuron network with STDP off.
 
-   The delivery ring keeps one growable slot per (cycle mod slots). rk_new
-   sizes it from the delays it is given, the longest + 1 slots, so no
-   caller passes a size and hw.max_delay sizes nothing. A synapse enters a
-   slot at most once before the slot drains, because its delay is shorter
-   than the ring. A cycle takes one modulo: its slot is base = cycle %
-   slots, and a push with delay d goes to base + d, less slots when that
-   reaches slots. Per-delay FIFOs of fires ran the dense benchmark network
-   18-28% slower (ROADMAP item 2).
+   The delivery ring has one growable slot per cycle mod slots, where slots
+   is the longest delay rk_new is given + 1: no caller passes a size, and
+   hw.max_delay sizes nothing. A synapse enters a slot at most once before
+   it drains, as its delay is shorter than the ring. A cycle's slot is
+   base = cycle % slots, and a push with delay d goes to base + d, less
+   slots when that reaches slots. Per-delay FIFOs of fires ran the dense
+   benchmark network 18-28% slower (ROADMAP item 2).
 
-   rk_step copies every field and array pointer it reads into locals before
-   its loops and qualifies the arrays restrict. That holds because the
-   arrays are disjoint ranges of the state block, or a ring slot's own
-   allocation, and none of them covers a field of k. So a store through
-   one array does not make the compiler load the others, or k's fields,
-   again. LEAK and the resting floors are conditional expressions, which
-   compile to conditional moves rather than branches that go either way
-   about half the time. */
+   rk_step copies every field and array pointer it reads into locals and
+   qualifies the arrays restrict, which holds because they are disjoint
+   ranges of the state block, or a ring slot's own allocation, and none
+   covers a field of k; so a store through one array makes the compiler
+   load neither the others nor k's fields again. LEAK and the resting
+   floors are conditional expressions, which compile to conditional moves
+   rather than branches that go either way about half the time. */
 
 #include <stdint.h>
 #include <stdlib.h>

@@ -1,10 +1,10 @@
-"""Pure-Python cycle core: the cycle of kernel.c, step by step.
+"""Pure-Python cycle core: the passes of kernel.c's rk_step, one by one.
 
-FIRE then LEAK for each neuron, DELIVER, the charge report, then SETTLE for
-each neuron, with "this cycle" read from cycle stamps; a neuron fires in cycle
-t when its exceed stamp is t - 1. The four phases are specified in README
-"Cycle model" and written out one by one in reference.py; kernel.c's header
-argues that these two passes run them exactly.
+FIRE then LEAK for each neuron, DELIVER, the charge report, SETTLE for each
+neuron, then STDP for each neuron when the table is not empty; kernel.c's
+header argues that these three passes run the four phases of README "Cycle
+model", which reference.py writes out one by one. "This cycle" is read from
+cycle stamps: a neuron fires in cycle t when its exceed stamp is t - 1.
 """
 
 from __future__ import annotations
@@ -22,10 +22,7 @@ class PyEngine:
     def __init__(self, layout: Layout, delivery_log: list[tuple[int, int, int]] | None = None):
         self.lay = layout
         self.n = n = len(layout.threshold)
-        n_syn = len(layout.syn_pre)
         self.weight = list(layout.syn_weight)
-        self.weight_lo = -(1 << (layout.weight_width - 1))
-        self.weight_hi = (1 << (layout.weight_width - 1)) - 1
         # The synapses due to deliver, by due cycle: no delay sizes anything.
         self.due: defaultdict[int, list[int]] = defaultdict(list)
         # Adjacency in declaration order: the synapses leaving and entering
@@ -45,7 +42,7 @@ class PyEngine:
         # reads as t - 1. STDP depression tests the stamps of the synapses into
         # a neuron, so the neuron needs no stamp for "got a delivery".
         self.last_exceed = [-2] * n
-        self.syn_last_delivery = [-2] * n_syn
+        self.syn_last_delivery = [-2] * len(layout.syn_pre)
 
         self.cycle = 0
         # Appended (scheduled cycle, delivery cycle, synapse index) when given.
@@ -57,9 +54,8 @@ class PyEngine:
             self._cycle(trace)
 
     def _cycle(self, trace: Trace | None) -> None:
-        t = self.cycle
-        lay = self.lay
-        std_rest, ref_rest = lay.standard_resting, lay.refractory_resting
+        t, lay = self.cycle, self.lay
+        std_rest, ref_rest, threshold = lay.standard_resting, lay.refractory_resting, lay.threshold
         abs_ref, rel_ref, leak = lay.abs_refractory, lay.rel_refractory, lay.leak
         acc, phase, phase_left = self.acc, self.phase, self.phase_left
         last_exceed, due, delay = self.last_exceed, self.due, lay.syn_delay
@@ -74,14 +70,11 @@ class PyEngine:
                     due[t + delay[j]].append(j)
                 acc[i] = ref_rest[i] if rel_ref[i] > 0 else std_rest[i]
                 if abs_ref[i] > 0:
-                    phase[i] = PHASE_ABSOLUTE
-                    phase_left[i] = abs_ref[i]
+                    phase[i], phase_left[i] = PHASE_ABSOLUTE, abs_ref[i]
                 elif rel_ref[i] > 0:
-                    phase[i] = PHASE_RELATIVE
-                    phase_left[i] = rel_ref[i]
+                    phase[i], phase_left[i] = PHASE_RELATIVE, rel_ref[i]
                 else:
-                    phase[i] = PHASE_STANDARD
-                    phase_left[i] = 0
+                    phase[i], phase_left[i] = PHASE_STANDARD, 0
             if leak[i] <= 0 or phase[i] == PHASE_ABSOLUTE:
                 continue
             floor = std_rest[i] if phase[i] == PHASE_STANDARD else ref_rest[i]
@@ -90,14 +83,14 @@ class PyEngine:
                 acc[i] = value if value > floor else floor
 
         # DELIVER
-        syn_post, log = lay.syn_post, self.delivery_log
-        for j in due.pop(t, ()):
+        syn_post, now = lay.syn_post, due.pop(t, ())
+        for j in now:
             last_delivery[j] = t
             post = syn_post[j]
-            if log is not None:
-                log.append((t - delay[j], t, j))
             if phase[post] != PHASE_ABSOLUTE:
                 acc[post] += weight[j]
+        if self.delivery_log is not None:
+            self.delivery_log.extend([(t - delay[j], t, j) for j in now])
         ev_cycle, ev = lay.ev_cycle, self.ev_cursor
         while ev < len(ev_cycle) and ev_cycle[ev] == t:
             i = lay.ev_neuron[ev]
@@ -111,31 +104,12 @@ class PyEngine:
         if trace is not None:
             trace.add(fired, acc)
 
-        # SETTLE: threshold comparison and STDP, then the resting floors and
-        # the refractory bookkeeping
-        threshold, pre_synapses = lay.threshold, self.pre_synapses
-        table = lay.stdp_table
-        tsize = len(table)
-        stdp = tsize > 0
-        half = tsize // 2
-        wlo, whi = self.weight_lo, self.weight_hi
+        # SETTLE: threshold comparison, then the resting floors and the
+        # refractory bookkeeping
         for i in range(self.n):
             charge = acc[i]
             if charge > threshold[i]:
-                if stdp:
-                    for j in pre_synapses[i]:
-                        last = last_delivery[j]
-                        if last >= 0 and half - (t - last) >= 0:
-                            w = weight[j] + table[half - (t - last)]
-                            weight[j] = wlo if w < wlo else (whi if w > whi else w)
                 last_exceed[i] = t
-            elif stdp and last_exceed[i] >= 0 and half + (t - last_exceed[i]) < tsize:
-                delta = table[half + (t - last_exceed[i])]
-                for j in pre_synapses[i]:
-                    if last_delivery[j] == t:
-                        w = weight[j] + delta
-                        weight[j] = wlo if w < wlo else (whi if w > whi else w)
-
             ph = phase[i]
             if ph == PHASE_STANDARD:
                 if charge < std_rest[i]:
@@ -153,6 +127,26 @@ class PyEngine:
                 if phase_left[i] == 0:
                     phase[i] = PHASE_RELATIVE if rel_ref[i] > 0 else PHASE_STANDARD
                     phase_left[i] = rel_ref[i]
+
+        # STDP, off with an empty table: potentiate into a neuron that exceeded
+        # in this cycle, depress into one whose last exceed the table reaches.
+        table = lay.stdp_table
+        if table:
+            pre_synapses, tsize, half = self.pre_synapses, len(table), len(table) // 2
+            wlo, whi = -(1 << (lay.weight_width - 1)), (1 << (lay.weight_width - 1)) - 1
+            for i in range(self.n):
+                if last_exceed[i] == t:
+                    for j in pre_synapses[i]:
+                        last = last_delivery[j]
+                        if last >= 0 and half - (t - last) >= 0:
+                            w = weight[j] + table[half - (t - last)]
+                            weight[j] = wlo if w < wlo else (whi if w > whi else w)
+                elif last_exceed[i] >= 0 and half + (t - last_exceed[i]) < tsize:
+                    delta = table[half + (t - last_exceed[i])]
+                    for j in pre_synapses[i]:
+                        if last_delivery[j] == t:
+                            w = weight[j] + delta
+                            weight[j] = wlo if w < wlo else (whi if w > whi else w)
 
         self.cycle = t + 1
 

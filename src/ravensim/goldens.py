@@ -104,7 +104,7 @@ def compare_traces(expected: Sequence[CycleReport],
                    actual: Sequence[CycleReport]) -> list[TraceDiff]:
     """Cell-by-cell diff of two traces' columns, matching neurons by name; ordered
     by cycle, fire sets before charges. Both sides go through Trace.of, so a list of
-    reports that names other neurons in some cycle, or fires an uncharged one, raises ValueError."""
+    reports that breaks a row rule, such as firing a neuron twice, raises ValueError."""
     expected, actual = Trace.of(expected), Trace.of(actual)
     names = expected.names
     column = {name: j for j, name in enumerate(actual.names)}

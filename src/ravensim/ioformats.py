@@ -372,6 +372,11 @@ def load_stimulus(text: str, net: Network, hw: HardwareConstants) -> Stimulus:
 
 
 def save_stimulus(stim: Stimulus) -> str:
+    """Stimulus-file text; ValueError names the first event on a name no line can hold."""
+    neurons = stim.events.neuron
+    k = next((k for k, name in enumerate(neurons) if "#" in name or name.split() != [name]), -1)
+    if k >= 0:
+        raise ValueError(f"stimulus event {k}: no stimulus line can hold the name {neurons[k]!r}")
     lines = [f"AI {cycle} {neuron} {value}" if kind == INJECTION else f"AS {cycle} {neuron}"
              for cycle, neuron, kind, value in zip(*stim.events.columns())]
     return "\n".join(lines) + ("\n" if lines else "")
@@ -420,9 +425,9 @@ def format_trace(trace: Sequence[CycleReport], mode: str = "table") -> str:
 
 
 def parse_trace_jsonl(text: str) -> Trace:
-    """Parse JSON-lines trace output into a Trace, in the first line's neuron order.
-    Every line must charge exactly the first line's neurons, and every neuron it fires."""
-    reports = []
+    """JSON-lines trace output as a Trace, in the first line's neuron order. Every line is read
+    as an object of a cycle, fired names and int64 charges before Trace.of checks its row rules."""
+    reports: dict[int, CycleReport] = {}  # by line number
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -431,8 +436,7 @@ def parse_trace_jsonl(text: str) -> Trace:
         if not isinstance(obj, dict):
             raise FormatError(f"{where}: must be an object")
         cycle = _field(obj, "cycle", None, int, where)
-        fired = obj.get("fired")
-        charges = obj.get("charges")
+        fired, charges = obj.get("fired"), obj.get("charges")
         if not isinstance(fired, list) or not all(isinstance(x, str) for x in fired):
             raise FormatError(f"{where}: \"fired\" must be an array of names")
         if not isinstance(charges, dict):
@@ -442,11 +446,8 @@ def parse_trace_jsonl(text: str) -> Trace:
                 raise FormatError(f"{where}: charge for \"{name}\" must be an integer")
             if not -INT64_MAX - 1 <= value <= INT64_MAX:
                 raise FormatError(f"{where}: charge for \"{name}\" outside int64")
-        if reports and charges.keys() != reports[0].charges.keys():
-            raise FormatError(f"{where}: charges must name the neurons of the first line "
-                              "and no others")
-        missing = next((name for name in fired if name not in charges), None)
-        if missing is not None:
-            raise FormatError(f"{where}: fired neuron {missing!r} has no charge")
-        reports.append(CycleReport(cycle=cycle, fired=tuple(fired), charges=charges))
-    return Trace.of(reports)
+        reports[lineno] = CycleReport(cycle=cycle, fired=tuple(fired), charges=charges)
+    try:
+        return Trace.of(list(reports.values()))
+    except Trace.RowError as e:
+        raise FormatError(f"trace line {list(reports)[e.row]}: {e.rule('line')}") from None

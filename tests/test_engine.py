@@ -20,7 +20,7 @@ from ravensim import (
     SynapseSettings,
     new_engine,
 )
-from ravensim.engine import INJECTION, INPUT_SPIKE, Stimulus, StimulusEvent, Trace
+from ravensim.engine import INJECTION, INPUT_SPIKE, CycleReport, Stimulus, StimulusEvent, Trace
 from ravensim.goldens import compare_traces
 from ravensim.ioformats import format_trace, parse_trace_jsonl
 
@@ -433,6 +433,22 @@ def test_trace_add_refuses_a_malformed_cycle():
     t.add([1], [4, 5])
     assert [(r.fired, r.charges) for r in t] == [(("A",), {"A": 2, "B": 3}),
                                                 (("B",), {"A": 4, "B": 5})]
+
+
+def test_trace_add_and_of_refuse_a_neuron_fired_twice():
+    t = Trace(("A", "B"), range(2))
+    with pytest.raises(ValueError, match="^a fired index repeats$"):
+        t.add([1, 0, 1], [1, 2])
+    assert (t.fired, t.counts, t.charges) == (array("q"), array("q", [0, 0]), array("q", [0] * 4))
+    t.add([1, 0], [1, 2])
+    assert list(t.fired) == [1, 0]
+    reports = [CycleReport(0, (), {"A": 0, "B": 0}), CycleReport(1, ("B", "B"), {"A": 0, "B": 3})]
+    with pytest.raises(ValueError, match="^cycle 1: fired neuron 'B' more than once$") as refused:
+        Trace.of(reports)
+    assert isinstance(refused.value, Trace.RowError) and refused.value.row == 1
+    for mode in ("table", "jsonl"):
+        with pytest.raises(Trace.RowError):
+            format_trace(reports, mode)
 
 
 @pytest.mark.parametrize("backend", EVERY_BACKEND)

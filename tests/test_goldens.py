@@ -9,6 +9,7 @@ import shutil
 
 import pytest
 
+import results_digest
 from fuzz import mixed_setup
 from ravensim import goldens, new_engine
 from ravensim.engine import CycleReport, Trace
@@ -154,6 +155,42 @@ def test_diff_needs_one_neuron_set_per_trace():
         for a, b in ((good, bad), (bad, good)):
             with pytest.raises(ValueError, match=message):
                 goldens.compare_traces(a, b)
+
+
+def test_a_neuron_fired_twice_in_one_row_fails_the_diff_and_the_golden(tmp_path, cases_by_name):
+    # Fire sets cannot tell one fire from two, so the diff of these two traces
+    # was empty although they differ; the row rule refuses the repeat instead.
+    once = [CycleReport(0, ("A",), {"A": 1, "B": 2})]
+    twice = [CycleReport(0, ("A", "A"), {"A": 1, "B": 2})]
+    assert once != twice
+    for a, b in ((once, twice), (twice, once)):
+        with pytest.raises(ValueError, match="^cycle 0: fired neuron 'A' more than once$"):
+            goldens.compare_traces(a, b)
+
+    source = cases_by_name["network_1_basic"].root
+    for name in ("case.json", "hardware.json", "network.json", "stimulus.txt"):
+        (tmp_path / name).write_text((source / name).read_text())
+    lines = (source / "expected.jsonl").read_text().splitlines()
+    lineno, row = next((k, json.loads(line)) for k, line in enumerate(lines, 1)
+                       if json.loads(line)["fired"])
+    row["fired"].append(row["fired"][0])
+    lines[lineno - 1] = json.dumps(row)
+    (tmp_path / "expected.jsonl").write_text("\n".join(lines) + "\n")
+    message = f"trace line {lineno}: fired neuron {row['fired'][0]!r} more than once"
+    with pytest.raises(goldens.FormatError, match=f"^{re.escape(message)}$"):
+        goldens.load_case(tmp_path)
+
+
+# results_digest.digest over the goldens alone, at 12 engine runs.
+GOLDEN_DIGEST = "75e5101db37a8ba32c6f305de1e4617ceb7a662641e2b54e899449be06fc726b"
+
+
+@pytest.mark.parametrize("backend", ["python", "reference", pytest.param("compiled", marks=(
+    pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc)")))])
+def test_results_digest_over_the_goldens_is_one_digest_on_every_backend(backend):
+    # The whole digest (tests/results_digest.py) adds the benchmark networks;
+    # this slice keeps its serialization from drifting unseen.
+    assert results_digest.digest(results_digest.golden_cases(), backend) == (GOLDEN_DIGEST, 12)
 
 
 def test_load_case_requires_manifest(tmp_path):

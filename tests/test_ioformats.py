@@ -355,6 +355,35 @@ def test_save_stimulus_round_trip():
     assert load_stimulus(text, make_net(), load_hardware(hw_text())) == stim
 
 
+def test_save_stimulus_refuses_a_name_that_reads_back_as_another_event():
+    # "#" starts a comment, so the line "AS 0 a#b" is a spike on a. The network
+    # and the in-memory stimulus may still use the name; only the file cannot.
+    hw = load_hardware(hw_text())
+    net = Network((NeuronSettings("a", threshold=1), NeuronSettings("a#b", threshold=1)), ())
+    stim = Stimulus((StimulusEvent(0, "a#b"),))
+    assert load_stimulus("AS 0 a#b\n", net, hw) == Stimulus((StimulusEvent(0, "a"),))
+    assert [rep.fired for rep in new_engine(net, hw, stim).run(2)] == [(), ("a#b",)]
+    with pytest.raises(ValueError, match="^stimulus event 0: no stimulus line can hold "
+                                         "the name 'a#b'$"):
+        save_stimulus(stim)
+
+
+@pytest.mark.parametrize("name", ["a b", "a\xa0b", "x ", "\ta", ""])
+def test_save_stimulus_refuses_names_with_whitespace_or_none(name):
+    # A line splits on any whitespace, so such a name loads as a malformed line
+    # or as another neuron; the error names the first event on such a name.
+    events = (StimulusEvent(0, "a"), StimulusEvent(1, name, INJECTION, 2), StimulusEvent(2, name))
+    with pytest.raises(ValueError, match=f"^stimulus event 1: no stimulus line can hold "
+                                         f"the name {re.escape(repr(name))}$"):
+        save_stimulus(Stimulus(events))
+    if name:
+        net = Network((NeuronSettings("a", 1), NeuronSettings(name, 1, injection=True)), ())
+        hw = load_hardware(hw_text())
+        assert new_engine(net, hw, Stimulus(events)).run(3)[2].fired == (name,)
+        with pytest.raises(FormatError):
+            load_stimulus(f"AS 0 a\nAI 1 {name} 2\nAS 2 {name}\n", net, hw)
+
+
 TRACE = [
     CycleReport(0, (), {"A": 0, "Out": -1}),
     CycleReport(1, ("A",), {"A": 2, "Out": 16}),
@@ -528,6 +557,23 @@ def test_parse_trace_jsonl_rejects_malformed_lines():
         parse_trace_jsonl(first + '{"cycle": 1, "fired": ["A", "C"], "charges": {"A": 0, "B": 1}}')
     with pytest.raises(FormatError, match="^trace line 1: fired neuron 'A' has no charge$"):
         parse_trace_jsonl('{"cycle": 0, "fired": ["A"], "charges": {}}')
+
+
+def test_parse_trace_jsonl_refuses_a_neuron_fired_twice():
+    # counts == [2] for one neuron would not survive into a fire set.
+    with pytest.raises(FormatError, match="^trace line 1: fired neuron 'A' more than once$"):
+        parse_trace_jsonl('{"cycle": 0, "fired": ["A", "A"], "charges": {"A": 1, "B": 2}}')
+    first = '{"cycle": 0, "fired": ["A"], "charges": {"A": 0, "B": 1}}\n\n'
+    line = '{"cycle": 1, "fired": %s, "charges": {"A": 0, "B": 1}}'
+    with pytest.raises(FormatError, match="^trace line 3: fired neuron 'B' more than once$"):
+        parse_trace_jsonl(first + line % '["B", "A", "B"]')
+    # The fired name missing from the charges comes first in the row, so it is named.
+    with pytest.raises(FormatError, match="^trace line 3: fired neuron 'C' has no charge$"):
+        parse_trace_jsonl(first + line % '["C", "A", "A"]')
+    # Every line is read before the row rules are checked, as in load_stimulus.
+    bad_type = '{"cycle": 2, "fired": [], "charges": {"A": 0, "B": 0.5}}'
+    with pytest.raises(FormatError, match='^trace line 4: charge for "B" must be an integer$'):
+        parse_trace_jsonl(first + line % '["A", "A"]' + "\n" + bad_type)
 
 
 def test_parse_trace_jsonl_keeps_charges_inside_int64():
