@@ -36,7 +36,6 @@ from .events import (
     Trace,
 )
 from .layout import build_layout, check_stimulus, is_checked
-from .pycore import PyEngine
 
 __all__ = [
     "BACKENDS",
@@ -137,6 +136,8 @@ def new_engine(net: Network, hw: HardwareConstants, stim: Stimulus | None = None
     if backend == "auto":
         backend = "compiled" if not record_deliveries and compiled.available() else "python"
     if backend == "python":
+        from .pycore import PyEngine  # the compiled run path never builds one
+
         log = [] if record_deliveries else None
         return Engine(backend, net.neurons.name, PyEngine(layout, log), log)
     if not compiled.available():

@@ -6,7 +6,7 @@ import operator
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from ..columns import Columns
 
@@ -17,6 +17,8 @@ INJECTION = "inject"
 PHASE_STANDARD = 0
 PHASE_ABSOLUTE = 1
 PHASE_RELATIVE = 2
+
+_SPIKE_VALUE = "an input spike carries no value"
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,8 @@ class StimulusEvent:
             raise ValueError("stimulus cycle must be >= 0")
         if self.kind not in (INPUT_SPIKE, INJECTION):
             raise ValueError(f"unknown stimulus kind: {self.kind}")
+        if self.kind == INPUT_SPIKE and self.value:
+            raise ValueError(_SPIKE_VALUE)
 
 
 class Events(Columns[StimulusEvent]):
@@ -49,6 +53,8 @@ class Events(Columns[StimulusEvent]):
         if not {INPUT_SPIKE, INJECTION}.issuperset(self.kind):
             kind = next(k for k in self.kind if k not in (INPUT_SPIKE, INJECTION))
             raise ValueError(f"unknown stimulus kind: {kind}")
+        if any(self.value) and INPUT_SPIKE in compress(self.kind, self.value):
+            raise ValueError(_SPIKE_VALUE)
 
     def by_cycle(self) -> Events:
         """The events stably sorted by cycle; self when they already are."""

@@ -4,8 +4,8 @@ Each case directory holds a manifest (case.json), the hardware and network
 files, a stimulus file, and the expected trace in JSON-lines form. The
 expected values are transcribed verbatim from the published worked-example
 tables; reconstructed parameters are described in each manifest's notes.
-run_golden simulates the case and compares fire sets and end-of-cycle
-charges cell by cell.
+run_golden simulates the case and compares cycle numbers, fire sets and
+end-of-cycle charges cell by cell.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class TraceDiff:
 
     cycle: int
     neuron: str
-    field: str  # "fired" or "charge"
+    field: str  # "cycle", "fired", "charge" or "length"
     expected: object
     actual: object
 
@@ -103,20 +103,27 @@ def discover_cases(fixtures_dir: Path | str | None = None) -> list[GoldenCase]:
 def compare_traces(expected: Sequence[CycleReport],
                    actual: Sequence[CycleReport]) -> list[TraceDiff]:
     """Cell-by-cell diff of two traces' columns, matching neurons by name; ordered
-    by cycle, fire sets before charges. Both sides go through Trace.of, so a list of
-    reports that breaks a row rule, such as firing a neuron twice, raises ValueError."""
+    by cycle, each row's cycle number before its fire sets and those before its
+    charges. A neuron charged on one side only differs in every row, as None on
+    the other. Both sides go through Trace.of, so a list of reports that breaks
+    a row rule, such as firing a neuron twice, raises ValueError."""
     expected, actual = Trace.of(expected), Trace.of(actual)
-    names = expected.names
-    column = {name: j for j, name in enumerate(actual.names)}
-    at = [column.get(name) for name in names]  # None: no actual column
+    names, got_names = expected.names, actual.names
+    unmatched = {name: j for j, name in enumerate(got_names)}  # actual columns not yet matched
+    # (name, expected column, actual column) of every cell; None: no such column.
+    cells = [(name, i, unmatched.pop(name, None)) for i, name in enumerate(names)]
+    cells += [(name, None, j) for name, j in unmatched.items()]
     diffs: list[TraceDiff] = []
     rows = zip(expected.rows(), actual.rows())
-    for (cycle, exp_fired, exp_charges), (_, got_fired, got_charges) in rows:
+    for (cycle, exp_fired, exp_charges), (got_cycle, got_fired, got_charges) in rows:
+        if got_cycle != cycle:
+            diffs.append(TraceDiff(cycle, "*", "cycle", cycle, got_cycle))
         exp_set = {names[i] for i in exp_fired}
-        got_set = {actual.names[i] for i in got_fired}
+        got_set = {got_names[j] for j in got_fired}
         for name in sorted(exp_set ^ got_set):
             diffs.append(TraceDiff(cycle, name, "fired", name in exp_set, name in got_set))
-        for name, value, j in zip(names, exp_charges, at):
+        for name, i, j in cells:
+            value = None if i is None else exp_charges[i]
             actual_value = None if j is None else got_charges[j]
             if actual_value != value:
                 diffs.append(TraceDiff(cycle, name, "charge", value, actual_value))

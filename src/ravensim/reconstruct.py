@@ -7,9 +7,9 @@ that justify them:
   - a joint exhaustive search over every synapse's (delay, weight) pair for
     the two plain integrate-and-fire fixtures, using a linear consistency
     check derived from the trace alone (no simulator involved), and
-  - per-parameter sweeps for the remaining fixtures, simulating each
-    candidate value and keeping those that reproduce the expected trace
-    exactly.
+  - per-parameter sweeps for the remaining fixtures: each sets one field to
+    every candidate value in turn, on the records a selector picks, and keeps
+    the values whose edited case passes goldens.run_golden.
 
 Search ranges are documented here as code. Sweep modes state what the
 fixture claims: "unique" parameters admit exactly one consistent value,
@@ -21,11 +21,11 @@ consistency (the trace alone admits more than one value).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from .engine import new_engine
 from .engine.events import INPUT_SPIKE
-from .goldens import GoldenCase, compare_traces
+from .goldens import GoldenCase, run_golden
 from .netmodel import Network, ValidationError
 
 THRESHOLDS = range(1, 5)
@@ -39,9 +39,13 @@ RESTINGS = range(-8, 1)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    kind: str        # "neuron" | "synapse" | "shared_threshold"
-    target: object   # neuron name, (pre, post) pair, or excluded-name tuple
-    field: str       # settings field, or "threshold" for shared sweeps
+    """One sweep: every candidate value of one field, set on the records of
+    one Network column ("neurons" or "synapses") that picks selects."""
+
+    label: str
+    column: str
+    picks: Callable[[object], bool]
+    field: str
     candidates: tuple[int, ...]
     mode: str        # "unique" | "minimal" | "member"
 
@@ -64,65 +68,28 @@ class JointResult:
     ok: bool
 
 
-def _with_neuron(net: Network, name: str, field: str, value: int) -> Network:
-    neurons = tuple(replace(m, **{field: value}) if m.name == name else m
-                    for m in net.neurons)
-    return replace(net, neurons=neurons)
-
-
-def _with_synapse(net: Network, pre: str, post: str, field: str, value: int) -> Network:
-    synapses = tuple(replace(s, **{field: value}) if (s.pre, s.post) == (pre, post) else s
-                     for s in net.synapses)
-    return replace(net, synapses=synapses)
-
-
-def _with_thresholds(net: Network, value: int, exclude: tuple[str, ...]) -> Network:
-    neurons = tuple(m if m.name in exclude else replace(m, threshold=value)
-                    for m in net.neurons)
-    return replace(net, neurons=neurons)
+def _with(net: Network, spec: SweepSpec, value: int) -> Network:
+    records = tuple(replace(r, **{spec.field: value}) if spec.picks(r) else r
+                    for r in getattr(net, spec.column))
+    return replace(net, **{spec.column: records})
 
 
 def _consistent(case: GoldenCase, net: Network) -> bool:
     try:
-        engine = new_engine(net, case.hardware, case.stimulus, backend="python")
+        return not run_golden(replace(case, network=net), "python")
     except (ValidationError, ValueError):
         return False
-    return not compare_traces(case.expected, engine.run(case.cycles))
 
 
 def run_sweep(case: GoldenCase, spec: SweepSpec) -> SweepResult:
     """Try every candidate value for one parameter against the trace."""
     net = case.network
-    if spec.kind == "neuron":
-        fixture_value = getattr(next(m for m in net.neurons if m.name == spec.target),
-                                spec.field)
-        build = lambda v: _with_neuron(net, spec.target, spec.field, v)
-        label = f"{spec.target}.{spec.field}"
-    elif spec.kind == "synapse":
-        pre, post = spec.target
-        fixture_value = getattr(next(s for s in net.synapses
-                                     if (s.pre, s.post) == (pre, post)), spec.field)
-        build = lambda v: _with_synapse(net, pre, post, spec.field, v)
-        label = f"{pre}->{post}.{spec.field}"
-    elif spec.kind == "shared_threshold":
-        exclude = tuple(spec.target)
-        sample = next(m for m in net.neurons if m.name not in exclude)
-        fixture_value = sample.threshold
-        build = lambda v: _with_thresholds(net, v, exclude)
-        label = "shared threshold" + (f" (except {', '.join(exclude)})" if exclude else "")
-    else:
-        raise ValueError(f"unknown sweep kind: {spec.kind}")
-
-    survivors = tuple(v for v in spec.candidates if _consistent(case, build(v)))
-    if spec.mode == "unique":
-        ok = survivors == (fixture_value,)
-    elif spec.mode == "minimal":
-        ok = bool(survivors) and fixture_value == min(survivors)
-    elif spec.mode == "member":
-        ok = fixture_value in survivors
-    else:
-        raise ValueError(f"unknown sweep mode: {spec.mode}")
-    return SweepResult(case.name, label, spec.mode, survivors, fixture_value, ok)
+    fixture_value = getattr(next(filter(spec.picks, getattr(net, spec.column))), spec.field)
+    survivors = tuple(v for v in spec.candidates if _consistent(case, _with(net, spec, v)))
+    ok = {"unique": survivors == (fixture_value,),
+          "minimal": bool(survivors) and fixture_value == min(survivors),
+          "member": fixture_value in survivors}[spec.mode]
+    return SweepResult(case.name, spec.label, spec.mode, survivors, fixture_value, ok)
 
 
 def joint_edge_search(case: GoldenCase) -> JointResult:
@@ -213,16 +180,21 @@ def joint_edge_search(case: GoldenCase) -> JointResult:
                        ok=(len(solutions) == 1 and solutions[0] == fixture))
 
 
-def _n(target: str, field: str, candidates, mode: str) -> SweepSpec:
-    return SweepSpec("neuron", target, field, tuple(candidates), mode)
+def _n(name: str, field: str, candidates, mode: str) -> SweepSpec:
+    return SweepSpec(f"{name}.{field}", "neurons", lambda m: m.name == name, field,
+                     tuple(candidates), mode)
 
 
 def _s(pre: str, post: str, field: str, candidates, mode: str) -> SweepSpec:
-    return SweepSpec("synapse", (pre, post), field, tuple(candidates), mode)
+    return SweepSpec(f"{pre}->{post}.{field}", "synapses",
+                     lambda s: (s.pre, s.post) == (pre, post), field, tuple(candidates), mode)
 
 
 def _shared(exclude: tuple[str, ...] = ()) -> SweepSpec:
-    return SweepSpec("shared_threshold", exclude, "threshold", tuple(THRESHOLDS), "unique")
+    """The one threshold of every neuron not in exclude."""
+    label = "shared threshold" + (f" (except {', '.join(exclude)})" if exclude else "")
+    return SweepSpec(label, "neurons", lambda m: m.name not in exclude, "threshold",
+                     tuple(THRESHOLDS), "unique")
 
 
 _FAMILY_EDGES = (("Main", "Main"), ("Main", "Out"), ("Main", "Bias"), ("Bias", "Bias"))

@@ -256,7 +256,8 @@ def test_cli_import_leaves_the_golden_modules_unloaded():
     loaded = proc.stdout.split()
     assert "ravensim.cli" in loaded
     assert "ravensim.goldens" not in loaded and "ravensim.reconstruct" not in loaded
-    assert "ravensim.engine.reference" not in loaded  # new_engine imports the oracle on demand
+    # new_engine imports the oracle and the python core on demand.
+    assert "ravensim.engine.reference" not in loaded and "ravensim.engine.pycore" not in loaded
     import ravensim.cli as cli
     for name in ("main", "load_hardware", "parse_network", "validate_network",
                  "load_stimulus", "new_engine", "format_trace"):

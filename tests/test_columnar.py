@@ -75,6 +75,8 @@ def test_events_check_their_records_and_sort_stably():
         Events((0, -1), ("A", "A"), (INPUT_SPIKE, INPUT_SPIKE), (0, 0))
     with pytest.raises(ValueError, match="unknown stimulus kind: poke"):
         Events((0,), ("A",), ("poke",), (0,))
+    with pytest.raises(ValueError, match="^an input spike carries no value$"):
+        Events((0, 1, 2), ("A", "B", "A"), (INJECTION, INPUT_SPIKE, INPUT_SPIKE), (5, 0, -2))
     events = Events((2, 0, 2, 1), ("a", "b", "c", "d"), (INPUT_SPIKE,) * 4, (0,) * 4)
     ordered = events.by_cycle()
     assert ordered.neuron == ("b", "d", "a", "c") and ordered.cycle == (0, 1, 2, 2)
@@ -205,3 +207,6 @@ def test_stimulus_event_checks_its_record():
         StimulusEvent(-1, "A")
     with pytest.raises(ValueError, match=r"^unknown stimulus kind: poke$"):
         StimulusEvent(0, "A", "poke")
+    # A stimulus file writes a spike as "AS cycle neuron": a value on it could not be saved.
+    with pytest.raises(ValueError, match=r"^an input spike carries no value$"):
+        StimulusEvent(0, "A", value=5)

@@ -6,6 +6,7 @@ import json
 import random
 import re
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -86,6 +87,8 @@ def reference_compare(expected, actual) -> list[goldens.TraceDiff]:
     """The report-by-report diff the columnar compare_traces replaced."""
     diffs = []
     for exp, got in zip(expected, actual):
+        if exp.cycle != got.cycle:
+            diffs.append(goldens.TraceDiff(exp.cycle, "*", "cycle", exp.cycle, got.cycle))
         exp_fired, got_fired = set(exp.fired), set(got.fired)
         if exp_fired != got_fired:
             for name in sorted(exp_fired | got_fired):
@@ -96,6 +99,9 @@ def reference_compare(expected, actual) -> list[goldens.TraceDiff]:
             actual_value = got.charges.get(name)
             if actual_value != value:
                 diffs.append(goldens.TraceDiff(exp.cycle, name, "charge", value, actual_value))
+        for name, actual_value in got.charges.items():
+            if name not in exp.charges:
+                diffs.append(goldens.TraceDiff(exp.cycle, name, "charge", None, actual_value))
     if len(actual) != len(expected):
         diffs.append(goldens.TraceDiff(min(len(actual), len(expected)), "*", "length",
                                        len(expected), len(actual)))
@@ -104,7 +110,7 @@ def reference_compare(expected, actual) -> list[goldens.TraceDiff]:
 
 def corruptions(trace: Trace, rng: random.Random) -> dict[str, list[CycleReport]]:
     """Seeded copies of the reports of trace: with fires flipped, with charges
-    edited, cut short by two cycles, and untouched."""
+    edited, cut short by two cycles, with one cycle renumbered, and untouched."""
     names = trace.names
 
     def copy():
@@ -119,7 +125,11 @@ def corruptions(trace: Trace, rng: random.Random) -> dict[str, list[CycleReport]
     edited = copy()
     for _ in range(5):
         edited[rng.randrange(len(edited))].charges[rng.choice(names)] += rng.choice((-3, 1, 7))
-    return {"flipped": flipped, "edited": edited, "truncated": copy()[:-2], "untouched": copy()}
+    renumbered = copy()
+    i = rng.randrange(len(renumbered))
+    renumbered[i] = replace(renumbered[i], cycle=renumbered[i].cycle + rng.choice((-1, 5)))
+    return {"flipped": flipped, "edited": edited, "truncated": copy()[:-2],
+            "renumbered": renumbered, "untouched": copy()}
 
 
 def test_columnar_diff_matches_the_report_by_report_diff(golden_cases):
@@ -143,7 +153,20 @@ def test_columnar_diff_matches_the_report_by_report_diff(golden_cases):
                 diffs = goldens.compare_traces(a, b)
                 assert diffs == reference_compare(a, b)
                 found |= {(kind, diff.field) for diff in diffs}
-    assert found == {("flipped", "fired"), ("edited", "charge"), ("truncated", "length")}
+    assert found == {("flipped", "fired"), ("edited", "charge"), ("truncated", "length"),
+                     ("renumbered", "cycle")}
+
+
+def test_diff_compares_cycle_numbers_and_the_neurons_only_the_actual_trace_charges():
+    expected = [CycleReport(0, (), {"A": 1}), CycleReport(7, (), {"A": 2})]
+    renumbered = [CycleReport(5, (), {"A": 1}), CycleReport(6, (), {"A": 2})]
+    assert goldens.compare_traces(expected, renumbered) == [
+        goldens.TraceDiff(0, "*", "cycle", 0, 5), goldens.TraceDiff(7, "*", "cycle", 7, 6)]
+    wider = [CycleReport(0, (), {"A": 1, "B": 0}), CycleReport(7, (), {"B": 3, "A": 2})]
+    assert goldens.compare_traces(expected, wider) == [
+        goldens.TraceDiff(0, "B", "charge", None, 0), goldens.TraceDiff(7, "B", "charge", None, 3)]
+    assert goldens.compare_traces(wider, expected) == [
+        goldens.TraceDiff(0, "B", "charge", 0, None), goldens.TraceDiff(7, "B", "charge", 3, None)]
 
 
 def test_diff_needs_one_neuron_set_per_trace():

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import re
+import typing
 
 import pytest
 
 from fuzz import malformed_documents, mixed_setup
-from ravensim import HardwareConstants, Network, NeuronSettings, SynapseSettings, new_engine
+from ravensim import (
+    HardwareConstants,
+    Network,
+    NeuronSettings,
+    SynapseSettings,
+    ioformats,
+    new_engine,
+)
 from ravensim.engine import INJECTION, INPUT_SPIKE, CycleReport, Stimulus, StimulusEvent, Trace
+from ravensim.engine.events import Events
 from ravensim.ioformats import (
     FormatError,
     format_trace,
@@ -23,7 +33,7 @@ from ravensim.ioformats import (
     save_network,
     save_stimulus,
 )
-from ravensim.netmodel import ValidationError
+from ravensim.netmodel import Neurons, Synapses, ValidationError
 
 HW_DOC = {
     "format": 1,
@@ -349,9 +359,11 @@ def test_save_stimulus_round_trip():
     stim = Stimulus((
         StimulusEvent(0, "A", INPUT_SPIKE),
         StimulusEvent(2, "In", INJECTION, -4),
+        StimulusEvent(2, "In", INJECTION, 0),
+        StimulusEvent(3, "In"),
     ))
     text = save_stimulus(stim)
-    assert text == "AS 0 A\nAI 2 In -4\n"
+    assert text == "AS 0 A\nAI 2 In -4\nAI 2 In 0\nAS 3 In\n"
     assert load_stimulus(text, make_net(), load_hardware(hw_text())) == stim
 
 
@@ -643,3 +655,25 @@ def test_parse_trace_jsonl_names_the_line_of_each_error():
         parse_trace_jsonl(f"{good}\n\n{{broken")
     with pytest.raises(FormatError, match=r'^trace line 2: "charges" must be an object$'):
         parse_trace_jsonl(f'{good}\n{{"cycle": 1, "fired": [], "charges": [1]}}')
+
+
+def _declared(record, skip: tuple[str, ...] = ()) -> list[tuple[str, object, type]]:
+    """(name, default or None when required, annotated type) of each field of record."""
+    hints = typing.get_type_hints(record)
+    return [(f.name, None if f.default is dataclasses.MISSING else f.default, hints[f.name])
+            for f in dataclasses.fields(record) if f.name not in skip]
+
+
+def test_the_reader_field_lists_name_every_record_field_in_order():
+    # ioformats states each record's fields again, as JSON keys with a default
+    # and an exact type, and each column class names them as its slots: a
+    # field added to a record and not to these lists fails here.
+    json_key = {"pre": "from", "post": "to"}
+    for record, columns in ((NeuronSettings, ioformats._NEURON_COLUMNS),
+                            (SynapseSettings, ioformats._SYNAPSE_COLUMNS)):
+        assert [(json_key.get(name, name), default, kind)
+                for name, default, kind in _declared(record)] == list(columns)
+    assert _declared(HardwareConstants, skip=("stdp_table",)) == [
+        (key, None, int) for key in ioformats._HW_KEYS]
+    for columns in (Neurons, Synapses, Events):
+        assert columns.__slots__ == tuple(f.name for f in dataclasses.fields(columns.record))

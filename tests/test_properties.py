@@ -14,8 +14,8 @@ from dataclasses import replace
 import pytest
 
 from fuzz import FUZZ_CYCLES, mixed_setup, random_setup
-from ravensim import new_engine
-from ravensim.engine import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD, Stimulus
+from ravensim import NeuronSettings, new_engine
+from ravensim.engine import PHASE_ABSOLUTE, PHASE_RELATIVE, PHASE_STANDARD, CycleReport, Stimulus
 from ravensim.ioformats import format_trace
 
 TRIALS = 60
@@ -225,3 +225,29 @@ def test_a_disjoint_union_runs_its_parts_side_by_side(backend, stdp):
     assert whole.weights() == parts[0].weights() + parts[1].weights()
     assert whole.phases() == parts[0].phases() + parts[1].phases()
     assert (whole.weights() != list(union.synapses.weight)) == stdp
+
+
+# A neuron with no synapses and no stimulus changes nothing else: the other
+# neurons fire, charge and move through their phases as they do without it,
+# and the weights learn the same, though it fires and refracts on its own.
+@pytest.mark.parametrize("backend", ["python", "compiled", "reference"])
+def test_an_isolated_neuron_changes_nothing_else(backend):
+    if backend == "compiled" and shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc)")
+    net, hw, stim = mixed_setup(32, 8, True, 60, seed=23)
+    at = 13  # inserted mid-list, so every neuron after it moves up one index
+    lone = NeuronSettings("lone", threshold=-1, refractory_resting=-2, abs_refractory=1,
+                          rel_refractory=2, leak=1)
+    grown = replace(net, neurons=[*net.neurons[:at], lone, *net.neurons[at:]])
+    alone, beside = (new_engine(n, hw, stim, backend=backend) for n in (net, grown))
+    trace, grown_trace = alone.run(60), beside.run(60)
+    assert any("lone" in rep.fired for rep in grown_trace)
+    assert [CycleReport(rep.cycle, tuple(name for name in rep.fired if name != "lone"),
+                        {name: v for name, v in rep.charges.items() if name != "lone"})
+            for rep in grown_trace] == trace
+    others = beside.charges()
+    del others["lone"]
+    assert others == alone.charges()
+    assert beside.weights() == alone.weights() != list(net.synapses.weight)
+    phases = beside.phases()
+    assert phases[:at] + phases[at + 1:] == alone.phases()
