@@ -22,6 +22,7 @@ code.
 
 from __future__ import annotations
 
+from ..columns import must_be
 from ..netmodel import INT64_MAX, HardwareConstants, Network, ValidationError, validate_network
 from . import compiled
 from .events import (
@@ -58,6 +59,8 @@ BACKENDS = ("auto", "python", "compiled", "reference")
 
 
 def _check_count(n_cycles: int) -> None:
+    if type(n_cycles) is not int:
+        raise ValueError(must_be("cycle count", int, n_cycles))
     if n_cycles < 0:
         raise ValueError("cycle count must be >= 0")
 

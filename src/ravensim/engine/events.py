@@ -8,7 +8,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress
 
-from ..columns import Columns
+from ..columns import Columns, record_fields
 
 INPUT_SPIKE = "spike"
 INJECTION = "inject"
@@ -17,8 +17,6 @@ INJECTION = "inject"
 PHASE_STANDARD = 0
 PHASE_ABSOLUTE = 1
 PHASE_RELATIVE = 2
-
-_SPIKE_VALUE = "an input spike carries no value"
 
 
 @dataclass(frozen=True)
@@ -31,30 +29,24 @@ class StimulusEvent:
     value: int = 0
 
     def __post_init__(self) -> None:
-        if self.cycle < 0:
-            raise ValueError("stimulus cycle must be >= 0")
-        if self.kind not in (INPUT_SPIKE, INJECTION):
-            raise ValueError(f"unknown stimulus kind: {self.kind}")
-        if self.kind == INPUT_SPIKE and self.value:
-            raise ValueError(_SPIKE_VALUE)
+        Events(*([getattr(self, name)] for name in Events.__slots__))  # Events' rules
 
 
 class Events(Columns[StimulusEvent]):
     """The events of a Stimulus, one column per StimulusEvent field."""
 
-    __slots__ = ("cycle", "neuron", "kind", "value")
     record = StimulusEvent
+    __slots__ = tuple(name for name, *_ in record_fields(record))
 
-    def __init__(self, cycle: Iterable[int], neuron: Iterable[str], kind: Iterable[str],
-                 value: Iterable[int]):
-        super().__init__(cycle, neuron, kind, value)
+    def __init__(self, *columns: Iterable):
+        super().__init__(*columns)
         if self.cycle and min(self.cycle) < 0:
             raise ValueError("stimulus cycle must be >= 0")
         if not {INPUT_SPIKE, INJECTION}.issuperset(self.kind):
             kind = next(k for k in self.kind if k not in (INPUT_SPIKE, INJECTION))
             raise ValueError(f"unknown stimulus kind: {kind}")
         if any(self.value) and INPUT_SPIKE in compress(self.kind, self.value):
-            raise ValueError(_SPIKE_VALUE)
+            raise ValueError("an input spike carries no value")
 
     def by_cycle(self) -> Events:
         """The events stably sorted by cycle; self when they already are."""

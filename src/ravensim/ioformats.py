@@ -18,11 +18,12 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Container, Sequence
+from collections.abc import Callable, Container, Sequence
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
 
+from .columns import KIND_NAMES, must_be, record_fields
 from .engine.events import INJECTION, INPUT_SPIKE, CycleReport, Events, Stimulus, Trace
 from .engine.layout import mark_checked, stimulus_problem
 from .netmodel import (
@@ -30,7 +31,9 @@ from .netmodel import (
     HardwareConstants,
     Network,
     Neurons,
+    NeuronSettings,
     Synapses,
+    SynapseSettings,
     ValidationError,
     validate_network,
 )
@@ -107,9 +110,6 @@ def _parse_json(text: str, where: str) -> Any:
     return doc
 
 
-_KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
-
-
 def _field(obj: dict, key: str, default: Any, kind: type, where: str) -> Any:
     """obj[key], which must be of exactly type kind (so a bool is no int);
     default when the key is absent, unless default is None (a required key)."""
@@ -119,7 +119,7 @@ def _field(obj: dict, key: str, default: Any, kind: type, where: str) -> Any:
         return default
     value = obj[key]
     if type(value) is not kind:
-        raise FormatError(f"{where}: key \"{key}\" must be {_KIND_NAMES[kind]}, got {value!r}")
+        raise FormatError(f"{where}: " + must_be(f'key "{key}"', kind, value))
     return value
 
 
@@ -135,17 +135,16 @@ def _check_version(obj: dict, where: str) -> None:
         raise FormatError(f"{where}: unsupported format version {version}")
 
 
-_HW_KEYS = (
-    "accumulator_width",
-    "threshold_width",
-    "weight_width",
-    "max_delay",
-    "max_leak",
-    "max_abs_refractory",
-    "max_rel_refractory",
-    "ports",
-    "injection_ports",
-)
+# (JSON key, default or None when required, type) of each integer hardware field (stdp_table
+# is read apart) and record column, and (name, key, default, type) of each network setting.
+_HW_FIELDS = tuple(spec[1:] for spec in record_fields(HardwareConstants) if spec[3] is int)
+_HW_KEYS = tuple(key for key, _, _ in _HW_FIELDS)
+_NEURON_COLUMNS = tuple(spec[1:] for spec in record_fields(NeuronSettings))
+_SYNAPSE_COLUMNS = tuple(spec[1:] for spec in record_fields(SynapseSettings))
+_SETTINGS = tuple(spec for spec in record_fields(Network) if spec[3] in KIND_NAMES)
+_NEURON_KEYS = tuple(key for key, _, _ in _NEURON_COLUMNS)
+_SYNAPSE_KEYS = tuple(key for key, _, _ in _SYNAPSE_COLUMNS)
+_SETTINGS_KEYS = tuple(key for _, key, _, _ in _SETTINGS)
 
 
 def load_hardware(text: str) -> HardwareConstants:
@@ -156,15 +155,12 @@ def load_hardware(text: str) -> HardwareConstants:
         raise FormatError("hardware file: top level must be a JSON object")
     _check_version(obj, where)
     _reject_unknown(obj, set(_HW_KEYS) | {"format", "stdp_table"}, where)
-    kwargs = {key: _field(obj, key, None, int, where) for key in _HW_KEYS}
+    kwargs = {key: _field(obj, key, default, kind, where) for key, default, kind in _HW_FIELDS}
     if "stdp_table" not in obj:
         raise FormatError(f"{where}: missing key \"stdp_table\"")
     table = obj["stdp_table"]
     if not isinstance(table, list):
         raise FormatError(f"{where}: stdp_table must be an array of integers")
-    for i, v in enumerate(table):
-        if type(v) is not int:
-            raise FormatError(f"{where}: stdp_table[{i}] must be an integer, got {v!r}")
     try:
         return HardwareConstants(stdp_table=tuple(table), **kwargs)
     except ValueError as e:
@@ -172,40 +168,22 @@ def load_hardware(text: str) -> HardwareConstants:
 
 
 def save_hardware(hw: HardwareConstants) -> str:
-    obj = {"format": FORMAT_VERSION}
-    for key in _HW_KEYS:
-        obj[key] = getattr(hw, key)
-    obj["stdp_table"] = list(hw.stdp_table)
+    obj = {"format": FORMAT_VERSION, **{key: getattr(hw, key) for key in _HW_KEYS},
+           "stdp_table": list(hw.stdp_table)}
     return json.dumps(obj, indent=2) + "\n"
 
 
-_SETTINGS_KEYS = {"stdp", "input_spike_amount"}
-
-# The JSON key, default (None when required) and type of every column of the
-# neuron and synapse objects, in the field order of Neurons and Synapses.
-_NEURON_COLUMNS = (("name", None, str), ("threshold", None, int),
-                   ("standard_resting", 0, int), ("refractory_resting", 0, int),
-                   ("abs_refractory", 0, int), ("rel_refractory", 0, int),
-                   ("leak", 0, int), ("injection", False, bool))
-_SYNAPSE_COLUMNS = (("from", None, str), ("to", None, str), ("weight", None, int),
-                    ("delay", 0, int))
-_NEURON_KEYS = tuple(key for key, _, _ in _NEURON_COLUMNS)
-_SYNAPSE_KEYS = tuple(key for key, _, _ in _SYNAPSE_COLUMNS)
-
-
-def _columns(objs: list, spec: tuple) -> list[list] | None:
-    """The columns spec names, read from a list of JSON objects; None when an
-    object is not a well-formed entity, which the row-by-row check reports."""
+def _entities(objs: list, spec: tuple, kind: type, first_error: Callable[[list], None]):
+    """objs read into the columns spec names, as a kind; first_error reports the first error of
+    objs, in document order, when one is no well-formed entity or kind refuses a column."""
     keys = {key for key, _, _ in spec}
-    if not {dict}.issuperset(map(type, objs)) or not keys.issuperset(chain.from_iterable(objs)):
-        return None
-    columns = []
-    for key, default, kind in spec:
-        column = list(map(dict.get, objs, repeat(key), repeat(default)))
-        if not {kind}.issuperset(map(type, column)):
-            return None
-        columns.append(column)
-    return columns
+    if {dict}.issuperset(map(type, objs)) and keys.issuperset(chain.from_iterable(objs)):
+        try:
+            return kind(*(map(dict.get, objs, repeat(key), repeat(default))
+                          for key, default, _ in spec))
+        except ValueError:
+            pass
+    first_error(objs)
 
 
 def _neuron_error(objs: list) -> None:
@@ -250,22 +228,15 @@ def parse_network(text: str) -> Network:
         if key not in obj or not isinstance(obj[key], list):
             raise FormatError(f"network file: \"{key}\" must be an array")
 
-    neurons = _columns(obj["neurons"], _NEURON_COLUMNS)
-    if neurons is None or "" in neurons[0]:
-        _neuron_error(obj["neurons"])
-    synapses = _columns(obj["synapses"], _SYNAPSE_COLUMNS)
-    if synapses is None:
-        _synapse_error(obj["synapses"])
+    neurons = _entities(obj["neurons"], _NEURON_COLUMNS, Neurons, _neuron_error)
+    synapses = _entities(obj["synapses"], _SYNAPSE_COLUMNS, Synapses, _synapse_error)
 
     settings = obj.get("settings", {})
     if not isinstance(settings, dict):
         raise FormatError("network file: \"settings\" must be an object")
     _reject_unknown(settings, _SETTINGS_KEYS, "settings")
-    stdp = _field(settings, "stdp", False, bool, "settings")
-    amount = _field(settings, "input_spike_amount", 16, int, "settings")
-
-    return Network(neurons=Neurons(*neurons), synapses=Synapses(*synapses),
-                   stdp_enabled=stdp, input_spike_amount=amount)
+    return Network(neurons, synapses, **{name: _field(settings, key, default, kind, "settings")
+                                         for name, key, default, kind in _SETTINGS})
 
 
 def load_network(text: str, hw: HardwareConstants) -> Network:
@@ -282,7 +253,7 @@ def save_network(net: Network) -> str:
         "format": FORMAT_VERSION,
         "neurons": [dict(zip(_NEURON_KEYS, row)) for row in zip(*net.neurons.columns())],
         "synapses": [dict(zip(_SYNAPSE_KEYS, row)) for row in zip(*net.synapses.columns())],
-        "settings": {"stdp": net.stdp_enabled, "input_spike_amount": net.input_spike_amount},
+        "settings": {key: getattr(net, name) for name, key, _, _ in _SETTINGS},
     }
     return json.dumps(obj, indent=2) + "\n"
 

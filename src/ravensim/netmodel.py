@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .columns import Columns
+from .columns import Columns, check_column, check_fields, record_fields
 
 
 # Every backend computes in int64. Widths of at most MAX_WIDTH bits, and durations,
@@ -60,7 +60,7 @@ def min_accumulator_width(weight_width: int, ports: int, injection_ports: int) -
 
 @dataclass(frozen=True)
 class HardwareConstants:
-    """Structural limits of a built processor. Immutable."""
+    """Structural limits of a built processor, each exactly an int. Immutable."""
 
     accumulator_width: int
     threshold_width: int
@@ -75,6 +75,8 @@ class HardwareConstants:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stdp_table", tuple(self.stdp_table))
+        check_fields(self)
+        check_column("stdp_table", int, self.stdp_table)
         for name in ("accumulator_width", "threshold_width", "weight_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -89,12 +91,8 @@ class HardwareConstants:
             raise ValueError("ports must be >= 1")
         if not 0 <= self.injection_ports <= self.ports:
             raise ValueError("injection_ports must lie in [0, ports]")
-        for v in self.stdp_table:
-            if not isinstance(v, int):
-                raise ValueError("stdp_table entries must be integers")
-            if abs(v) >= 1 << MAX_WIDTH:
-                raise ValueError("stdp_table entries must lie in "
-                                 f"(-2**{MAX_WIDTH}, 2**{MAX_WIDTH})")
+        if any(abs(v) >= 1 << MAX_WIDTH for v in self.stdp_table):
+            raise ValueError(f"stdp_table entries must lie in (-2**{MAX_WIDTH}, 2**{MAX_WIDTH})")
 
 
 @dataclass(frozen=True)
@@ -115,25 +113,29 @@ class NeuronSettings:
 class SynapseSettings:
     """Per-synapse programmable settings."""
 
-    pre: str
-    post: str
+    pre: str = field(metadata={"key": "from"})
+    post: str = field(metadata={"key": "to"})
     weight: int
     delay: int = 0
 
 
 class Neurons(Columns[NeuronSettings]):
-    """The neurons of a Network, one column per NeuronSettings field."""
+    """The neurons of a Network, one column per NeuronSettings field; no name is empty."""
 
-    __slots__ = ("name", "threshold", "standard_resting", "refractory_resting",
-                 "abs_refractory", "rel_refractory", "leak", "injection")
     record = NeuronSettings
+    __slots__ = tuple(name for name, *_ in record_fields(record))
+
+    def __init__(self, *columns):
+        super().__init__(*columns)
+        if "" in self.name:
+            raise ValueError(f"Neurons.name[{self.name.index('')}] must not be empty")
 
 
 class Synapses(Columns[SynapseSettings]):
     """The synapses of a Network, one column per SynapseSettings field."""
 
-    __slots__ = ("pre", "post", "weight", "delay")
     record = SynapseSettings
+    __slots__ = tuple(name for name, *_ in record_fields(record))
 
 
 @dataclass(frozen=True)
@@ -141,19 +143,21 @@ class Network:
     """A programmed network: neurons, synapses and overall settings.
 
     Immutable. neurons and synapses take any sequence of settings records
-    and keep them by column (Neurons, Synapses); reading an element builds
-    its record. Engines copy the synapse weights into their own mutable
-    state, so a Network can be shared between concurrent simulations.
+    and keep them by column (Neurons, Synapses), whose constructors check
+    their types; reading an element builds its record. Engines copy the
+    synapse weights into their own mutable state, so a Network can be
+    shared between concurrent simulations.
     """
 
     neurons: Sequence[NeuronSettings]
     synapses: Sequence[SynapseSettings]
-    stdp_enabled: bool = False
+    stdp_enabled: bool = field(default=False, metadata={"key": "stdp"})
     input_spike_amount: int = 16
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "neurons", Neurons.of(self.neurons))
         object.__setattr__(self, "synapses", Synapses.of(self.synapses))
+        check_fields(self, "Network.")
 
     def neuron_names(self) -> list[str]:
         return list(self.neurons.name)
@@ -250,14 +254,9 @@ def validate_network(net: Network, hw: HardwareConstants) -> ValidationReport:
         (neurons.rel_refractory, 0, hw.max_rel_refractory, "refractory out of range",
          lambda v: f"relative refractory {v} outside [0, {hw.max_rel_refractory}]"),
     )
-    known = set(names)
-    duplicates: set[int] = set()
-    if len(known) < len(names):
-        seen: set[str] = set()
-        for i, name in enumerate(names):
-            if name in seen:
-                duplicates.add(i)
-            seen.add(name)
+    known, first = set(names), {}  # first: the index of each name's first declaration
+    duplicates = ({i for i, name in enumerate(names) if first.setdefault(name, i) != i}
+                  if len(known) < len(names) else set())
     for i in sorted(duplicates | _outside(neuron_rules)):
         name = names[i]
         if i in duplicates:

@@ -461,5 +461,7 @@ def test_min_accumulator_width_checks_its_arguments():
 
 
 def test_hardware_constants_reject_a_non_integer_stdp_entry():
-    with pytest.raises(ValueError, match=r"^stdp_table entries must be integers$"):
+    with pytest.raises(ValueError, match=r"^stdp_table\[1\] must be an integer, got 'x'$"):
         small_hw(stdp_table=(1, "x"))
+    with pytest.raises(ValueError, match=r"^stdp_table\[0\] must be an integer, got True$"):
+        small_hw(stdp_table=(True, 1))
